@@ -1,14 +1,12 @@
 // bound_memo.hpp — direct-mapped memo of compiled-plan certificate bounds.
 //
 // Lowering is deterministic, so the bound for a given (n, t) never changes —
-// but the model-consulting select() path needs it on EVERY call, and a
+// but engine::rank() needs it on EVERY auto call, and a
 // PlanCache::get_or_lower round trip (string key construction, LRU splice
 // under the cache mutex) costs about as much as ranking all three
 // candidates. Only successful lowerings land here; failures keep throwing
 // through the lowering probe, so fault injection (DDM_FAULT_PLAN) stays
-// visible to the model path. The static auto rule does not use the memo —
-// its branch is pinned byte-identical to the pre-model CLI, plan-cache hit
-// counters included.
+// visible to auto dispatch.
 //
 // Slots are keyed by (n, t, scenario digest): compiled plans exist only for
 // the homogeneous game today, but the digest is part of the slot identity so
@@ -35,7 +33,7 @@ class BoundMemo {
  public:
   BoundMemo() = default;
 
-  /// The process-wide instance used by the model-consulting select() path.
+  /// The process-wide instance used by engine::rank().
   static BoundMemo& get() {
     static BoundMemo memo;
     return memo;

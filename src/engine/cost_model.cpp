@@ -126,30 +126,35 @@ double CostModel::predict(std::string_view engine, std::uint32_t n, std::size_t 
   return std::exp(predict_log_locked(it->second, std::max<std::uint32_t>(n, 1), clamped_batch));
 }
 
-std::size_t CostModel::cheapest(const std::string_view* engines, std::size_t count,
-                                std::uint32_t n, std::size_t batch,
-                                std::string_view scenario) const {
+void CostModel::order(std::string_view* engines, std::size_t count, std::uint32_t n,
+                      std::size_t batch, std::string_view scenario) const {
   const auto clamped_batch = static_cast<std::uint32_t>(
       std::min<std::size_t>(std::max<std::size_t>(batch, 1), 0xffffffffu));
   const std::uint32_t clamped_n = std::max<std::uint32_t>(n, 1);
   const bool generalized = !is_default_scenario(scenario);
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::size_t best = count;
-  double best_log = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto it = generalized ? engines_.find(scenario_row_key(engines[i], scenario))
-                                : engines_.find(engines[i]);
-    if (it == engines_.end() || it->second.cells.empty()) continue;
-    const double log_cost = predict_log_locked(it->second, clamped_n, clamped_batch);
-    // `< infinity`, not isfinite: a log-cost of -infinity is a (degenerate)
-    // zero-seconds prediction and must still qualify, exactly as a predict()
-    // of 0.0 passed the isfinite gate before this fast path existed.
-    if (log_cost < best_log) {
-      best = i;
-      best_log = log_cost;
+  std::vector<std::pair<double, std::string_view>> keyed;
+  keyed.reserve(count);
+  {
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto it = generalized ? engines_.find(scenario_row_key(engines[i], scenario))
+                                  : engines_.find(engines[i]);
+      // A log-cost of -infinity is a (degenerate) zero-seconds prediction
+      // and still ranks as measured.
+      const double log_cost = it == engines_.end() || it->second.cells.empty()
+                                  ? std::numeric_limits<double>::infinity()
+                                  : predict_log_locked(it->second, clamped_n, clamped_batch);
+      keyed.emplace_back(log_cost, engines[i]);
     }
   }
-  return best;
+  // Insertion sort: stable, and without std::stable_sort's scratch buffer
+  // for the handful of candidates a chain holds.
+  for (std::size_t i = 1; i < count; ++i) {
+    for (std::size_t j = i; j > 0 && keyed[j].first < keyed[j - 1].first; --j) {
+      std::swap(keyed[j], keyed[j - 1]);
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) engines[i] = keyed[i].second;
 }
 
 double CostModel::predict_log_locked(const EngineGrid& grid, std::uint32_t n,

@@ -1,18 +1,18 @@
 // cost_model.hpp — the measured per-engine latency model behind `auto`.
 //
-// engine::select()'s static rule decides compiled-vs-batch with two
-// hard-coded constants (engine/policy.hpp). On the serving path that is
-// conservative exactly where the paper's workload lives: the mid-n band
-// where the compiled plan's certificate exceeds the fixed 1e-9 bound but
-// easily clears the tolerance the REQUEST actually asked for, and the plan
-// — once cached — is orders of magnitude faster per point than the O(3^n)
-// batch kernel. A CostModel turns dispatch into a measurement problem: a
-// log-spaced table of per-engine seconds-per-point cells, calibrated on the
-// machine that will serve (`ddm_cli calibrate`), persisted next to the plan
-// store as a versioned + checksummed text table, and consulted by select()
-// to pick the predicted-fastest engine whose accuracy contract still meets
-// the request tolerance. No table loaded → select() takes the static rule's
-// exact code path, byte for byte.
+// engine::rank() (engine/registry.hpp) orders the candidate engines for a
+// request by this model's predictions. On the serving path the ordering
+// matters exactly where the paper's workload lives: in the mid-n band the
+// compiled plan's certificate clears the tolerance the REQUEST asked for,
+// and the plan — once cached — is orders of magnitude faster per point than
+// the O(3^n) batch kernel, while at small n the serial kernel can beat the
+// parallel batch kernel on one-point requests. A CostModel turns that
+// ordering into a measurement problem: a log-spaced table of per-engine
+// seconds-per-point cells, calibrated on the machine that will serve
+// (`ddm_cli calibrate`), persisted next to the plan store as a versioned +
+// checksummed text table. rank() stable-sorts its candidates by
+// prediction; an empty model (no table loaded) predicts nothing and leaves
+// rank()'s built-in order in place, so "no table" is not a separate path.
 //
 // Table format (text, line-based; checksummed with the plan store's FNV-1a):
 //
@@ -39,7 +39,7 @@
 //
 // Prediction interpolates bilinearly in (log2 n, log2 batch) between the
 // measured cells, clamped at the grid edges; engines the table has no data
-// for predict +infinity (select() then keeps the static fallback for them).
+// for predict +infinity (rank() then keeps their built-in order).
 // The live refinement path (`observe`, used by ddm_serve's workers) folds
 // measured request latencies into the matching cell with an EWMA, so a
 // long-running daemon tracks thermal drift and noisy-neighbor effects
@@ -109,15 +109,13 @@ class CostModel {
   [[nodiscard]] double predict(std::string_view engine, std::uint32_t n, std::size_t batch,
                                std::string_view scenario = {}) const;
 
-  /// Index into `engines[0..count)` of the candidate with the smallest
-  /// predicted cost at (n, batch), or `count` when no candidate has any
-  /// measured data. Ties break toward the earlier index. Equivalent to
-  /// calling predict() per engine and taking the argmin, but ranks in log
-  /// space under a single lock — the per-request hot path of the
-  /// model-consulting auto rule, where an exp() per candidate is measurable.
-  [[nodiscard]] std::size_t cheapest(const std::string_view* engines, std::size_t count,
-                                     std::uint32_t n, std::size_t batch,
-                                     std::string_view scenario = {}) const;
+  /// Stable-sorts `engines[0..count)` by predicted cost at (n, batch).
+  /// Engines without data predict +infinity, so they keep their order
+  /// behind the measured ones. Equivalent to sorting by predict(), but
+  /// ranks in log space under a single lock — the per-request hot path of
+  /// engine::rank, where an exp() and a lock per candidate are measurable.
+  void order(std::string_view* engines, std::size_t count, std::uint32_t n, std::size_t batch,
+             std::string_view scenario = {}) const;
 
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t cell_count() const;
@@ -152,7 +150,7 @@ class CostModel {
   /// Throws ddm::Error when an engine id is unknown.
   [[nodiscard]] static std::shared_ptr<CostModel> calibrate(const CalibrationOptions& options);
 
-  /// The process-wide model consulted by engine::select, lazily resolved
+  /// The process-wide model consulted by engine::rank, lazily resolved
   /// from DDM_POLICY on first call (strict: a set but unloadable variable
   /// throws ddm::PolicyError naming it — a misconfigured policy must fail
   /// loudly, never silently dispatch cold). nullptr when unconfigured.
@@ -174,7 +172,7 @@ class CostModel {
 
   /// Log of the predicted seconds-per-point (predict() is exp of this);
   /// +infinity when the grid cannot cover (n, batch). Log space keeps the
-  /// ranking in cheapest() exp-free.
+  /// ranking in order() exp-free.
   [[nodiscard]] double predict_log_locked(const EngineGrid& grid, std::uint32_t n,
                                           std::uint32_t batch) const;
   void set_cell_locked(const std::string& engine, std::uint32_t n, std::uint32_t batch,

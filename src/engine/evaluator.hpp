@@ -9,8 +9,8 @@
 // of them behind ONE seam: a request describes *what* to evaluate (a
 // symmetric β-grid or general threshold vectors, plus capacity t and a
 // tolerance), an Evaluator adapter describes *how*, and the process-wide
-// registry (engine/registry.hpp) owns the which — including the automatic
-// compiled-vs-kernel policy (engine/policy.hpp) and the LRU plan cache
+// registry (engine/registry.hpp) owns the which — including the ranked
+// auto dispatch (engine::rank, engine/policy.hpp) and the LRU plan cache
 // (engine/plan_cache.hpp). New backends register once and every caller (CLI
 // subcommands, the threshold optimizer, examples) picks them up for free.
 #pragma once

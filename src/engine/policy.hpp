@@ -1,21 +1,12 @@
 // policy.hpp — the engine-selection policy of ddm::engine.
 //
-// Home of the constants that used to live as ad-hoc branching in
-// tools/ddm_cli.cpp (`kCompiledAutoTolerance`, `kCompiledAutoMaxN`): they are
-// library policy, shared by the CLI, the examples, and the tests, so they
-// live in the library. An EnginePolicy names either a concrete engine id or
-// "auto"; engine::select (engine/registry.hpp) resolves it against a request.
-//
-// The auto rule (unchanged from the pre-engine CLI, byte-compatible):
-//   * general (non-symmetric) requests  → batch kernel
-//   * n > compiled_max_n                → batch kernel (the exact piecewise
-//     build grows combinatorially and its certified bound blows past the
-//     tolerance anyway)
-//   * otherwise lower the exact Theorem 5.1 polynomial (through the plan
-//     cache) and use the compiled plan iff its certified max-error bound is
-//     within compiled_tolerance; else fall back to the batch kernel —
-//     *visibly*: the Selection carries a fallback note the caller surfaces
-//     (the CLI prints it to stderr and stamps the engine into sweep JSON).
+// An EnginePolicy names either a concrete engine id or "auto";
+// engine::rank (engine/registry.hpp) resolves it against a request into an
+// ordered candidate chain. The two constants below bound auto's use of the
+// compiled plan: it is a candidate only for symmetric homogeneous grids with
+// 1 <= n <= kCompiledAutoMaxN whose certified max-error bound clears the
+// REQUEST tolerance (EvalRequest::tolerance, which defaults to
+// kCompiledAutoTolerance).
 #pragma once
 
 #include <cstdint>
@@ -23,22 +14,22 @@
 
 namespace ddm::engine {
 
-/// Tolerance the auto policy holds the compiled plan's certificate to.
+/// Equal to EvalRequest's default tolerance, so it is the compiled-plan
+/// certificate auto accepts from callers that set none (every CLI auto
+/// request) and the default bound of `ddm_cli plans precompile`.
 inline constexpr double kCompiledAutoTolerance = 1e-9;
 
-/// The n cap past which auto does not even attempt the symbolic lowering;
-/// forcing engine "compiled" still tries.
+/// The n cap past which auto does not even attempt the symbolic lowering
+/// (the exact piecewise build grows combinatorially and its certified bound
+/// blows past any useful tolerance anyway); forcing engine "compiled" still
+/// tries.
 inline constexpr std::uint32_t kCompiledAutoMaxN = 16;
 
-/// Caller-supplied selection policy. Default-constructed == today's CLI
-/// default (`--engine=auto`).
+/// Caller-supplied selection policy. Default-constructed == the CLI default
+/// (`--engine=auto`).
 struct EnginePolicy {
   /// Registry id to force, or "auto" to let the policy decide.
   std::string engine = "auto";
-  /// Auto mode: maximum compiled-plan certificate accepted.
-  double compiled_tolerance = kCompiledAutoTolerance;
-  /// Auto mode: n cap for attempting the symbolic lowering.
-  std::uint32_t compiled_max_n = kCompiledAutoMaxN;
 
   [[nodiscard]] bool is_auto() const noexcept { return engine == "auto"; }
 };

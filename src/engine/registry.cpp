@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstring>
 #include <exception>
-#include <mutex>
+#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <sstream>
 #include <utility>
 
@@ -36,86 +33,72 @@ struct SelectMetrics {
   }
 };
 
-/// The model-consulting auto rule. Candidates are the interchangeable-value
-/// engines: compiled joins only when its certificate clears the REQUEST
-/// tolerance (that is the accuracy contract — the static rule's fixed
-/// compiled_tolerance does not apply here), batch and kernel compute the
-/// inclusion-exclusion sum in plain doubles and always qualify. The
-/// predicted-fastest candidate wins; engines the table has no data for
-/// predict +infinity and drop out; when NO candidate has data the choice
-/// degrades to exactly what the static rule would have picked, so a sparse
-/// table can only ever refine dispatch, not break it.
-void apply_model(const CostModel& model, const EnginePolicy& policy, const EvalRequest& request,
-                 Registry& registry, Selection& selection) {
-  const SelectMetrics& metrics = SelectMetrics::get();
-  selection.model_consulted = true;
-  metrics.policy_consults.add();
+/// The built-in auto order for each game family. Where the cost model has
+/// no data, rank() keeps these orders.
+constexpr std::array<std::string_view, 3> kHomogeneousAuto{"compiled", "batch", "kernel"};
+constexpr std::array<std::string_view, 2> kGeneralizedAuto{"exact", "mc"};
 
-  const Evaluator* compiled = nullptr;
-  bool static_compiled = false;
-  if (request.scenario.is_default() && request.is_symmetric() && request.n >= 1 &&
-      request.n <= policy.compiled_max_n) {
-    BoundMemo& memo = BoundMemo::get();
-    const std::string& digest = request.scenario.digest();
-    std::optional<double> bound = memo.lookup(request.n, request.t, digest);
-    if (!bound.has_value()) {
-      try {
-        const auto plan = PlanCache::instance().get_or_lower(request.n, request.t, digest);
-        bound = plan->max_error_bound();
-        memo.store(request.n, request.t, digest, *bound);
-      } catch (const std::exception& error) {
-        selection.fallback = true;
-        selection.note = std::string("compiled lowering failed (") + error.what() +
-                         "); ranking the double kernels";
-      }
-    }
-    if (bound.has_value()) {
-      selection.compiled_bound = *bound;
-      static_compiled = *bound <= policy.compiled_tolerance;
-      const double tolerance = request.tolerance.to_double();
-      if (*bound <= tolerance) {
-        compiled = &registry.require("compiled");
-      } else {
-        selection.fallback = true;
-        std::ostringstream note;
-        note << "compiled plan certificate " << *bound << " exceeds request tolerance "
-             << tolerance << "; ranking the double kernels";
-        selection.note = note.str();
-      }
+/// The degrade steps behind a forced engine, followed transitively
+/// (compiled -> batch -> kernel). exact only degrades under a generalized
+/// game, where no other computed engine can serve the request.
+struct DegradeStep {
+  std::string_view from;
+  std::string_view to;
+  bool generalized_only = false;
+};
+constexpr std::array<DegradeStep, 4> kDegradeSteps{{{"compiled", "batch"},
+                                                    {"batch", "kernel"},
+                                                    {"certified", "mc"},
+                                                    {"exact", "mc", true}}};
+
+[[nodiscard]] std::string_view degrade_step(std::string_view id, const Scenario& scenario) {
+  for (const DegradeStep& step : kDegradeSteps) {
+    if (step.from == id && (!step.generalized_only || !scenario.is_default())) return step.to;
+  }
+  return {};
+}
+
+/// True when auto may hand `request` to the compiled plan: a small
+/// symmetric grid whose certificate clears the REQUEST tolerance. One
+/// BoundMemo lookup per call; a miss lowers through the plan cache. A
+/// declined plan leaves its reason in `selection.note`.
+[[nodiscard]] bool compiled_qualifies(const EvalRequest& request, Selection& selection) {
+  if (!request.is_symmetric() || request.n < 1 || request.n > kCompiledAutoMaxN) return false;
+  BoundMemo& memo = BoundMemo::get();
+  const std::string& digest = request.scenario.digest();
+  std::optional<double> bound = memo.lookup(request.n, request.t, digest);
+  if (!bound.has_value()) {
+    try {
+      bound = PlanCache::instance().get_or_lower(request.n, request.t, digest)->max_error_bound();
+      memo.store(request.n, request.t, digest, *bound);
+    } catch (const std::exception& error) {
+      selection.note = std::string("compiled lowering failed (") + error.what() + ")";
+      return false;
     }
   }
+  selection.compiled_bound = *bound;
+  const double tolerance = request.tolerance.to_double();
+  if (*bound <= tolerance) return true;
+  std::ostringstream note;
+  note << "compiled plan certificate " << *bound << " exceeds tolerance " << tolerance;
+  selection.note = note.str();
+  return false;
+}
 
-  // One ranking call for all candidates: CostModel::cheapest takes the table
-  // lock once and compares in log space, so the per-request model overhead
-  // stays a small fraction of even the fastest engine's evaluation.
-  std::array<const Evaluator*, 3> pool;  // compiled, batch, kernel — never more
-  std::array<std::string_view, 3> ids;
-  std::size_t pool_count = 0;
-  const auto consider = [&](const Evaluator* evaluator) {
-    if (evaluator == nullptr || !evaluator->supports(request)) return;
-    pool[pool_count] = evaluator;
-    ids[pool_count] = evaluator->id();
-    ++pool_count;
-  };
-  consider(compiled);
-  consider(registry.find("batch"));
-  consider(registry.find("kernel"));
-
-  const Evaluator& static_choice =
-      static_compiled && compiled != nullptr ? *compiled : registry.require("batch");
-  const std::size_t best = model.cheapest(ids.data(), pool_count, request.n, request.size(),
-                                          request.scenario.digest());
-  if (best == pool_count) {
-    selection.evaluator = &static_choice;  // no data: degrade to the static rule
-    metrics.policy_static_wins.add();
-    return;
+/// Stable-sorts chain[first, end) by predicted cost (CostModel::order).
+/// `end` stops at seeded Monte Carlo: an estimate is never ranked ahead of
+/// a computed answer.
+void order_by_cost(const CostModel& model, const Registry& registry, const EvalRequest& request,
+                   std::vector<const Evaluator*>& chain, std::size_t first) {
+  std::vector<std::string_view> ids;
+  ids.reserve(chain.size());
+  for (std::size_t k = first;
+       k < chain.size() && chain[k]->determinism() != Determinism::kRandomized; ++k) {
+    ids.push_back(chain[k]->id());
   }
-  selection.evaluator = pool[best];
-  if (selection.evaluator == &static_choice) {
-    metrics.policy_static_wins.add();
-  } else {
-    metrics.policy_model_wins.add();
-  }
+  if (ids.size() < 2) return;
+  model.order(ids.data(), ids.size(), request.n, request.size(), request.scenario.digest());
+  for (std::size_t k = 0; k < ids.size(); ++k) chain[first + k] = registry.find(ids[k]);
 }
 
 }  // namespace
@@ -180,97 +163,77 @@ std::vector<std::string_view> Registry::ids() const {
   return result;
 }
 
-Selection select(const EnginePolicy& policy, const EvalRequest& request) {
+Selection rank(const EnginePolicy& policy, const EvalRequest& request) {
   const SelectMetrics& metrics = SelectMetrics::get();
-  Registry& registry = Registry::instance();
+  const Registry& registry = Registry::instance();
   Selection selection;
   selection.requested = policy.engine;
+  selection.auto_mode = policy.is_auto();
+  std::vector<const Evaluator*>& chain = selection.chain;
+  chain.reserve(kHomogeneousAuto.size());  // the longest chain
+  const auto admit = [&](std::string_view id) {
+    const Evaluator* evaluator = registry.find(id);
+    if (evaluator != nullptr && evaluator->supports(request)) chain.push_back(evaluator);
+  };
 
-  if (!policy.is_auto()) {
-    const Evaluator& evaluator = registry.require(policy.engine);
-    if (!evaluator.supports(request)) {
-      throw Error("engine '" + std::string(evaluator.id()) +
-                  "' does not support this request (" + std::string(evaluator.describe()) + ")");
+  std::size_t pinned = 0;  // leading entries the cost model may not move
+  if (!selection.auto_mode) {
+    const Evaluator& head = registry.require(policy.engine);
+    if (!head.supports(request)) {
+      throw Error("engine '" + std::string(head.id()) + "' does not support this request (" +
+                  std::string(head.describe()) + ")");
     }
-    selection.evaluator = &evaluator;
-    metrics.selects.add();
-    // Span string args must outlive the trace export; the adapter ids are
-    // string literals, so they qualify (policy.engine would not).
-    DDM_SPAN("engine.select",
-             {{"requested", evaluator.id().data()}, {"chosen", evaluator.id().data()}});
-    return selection;
-  }
-
-  selection.auto_mode = true;
-  // Generalized scenarios route around the compiled/batch/kernel pool
-  // entirely (none of them supports a non-default game): exact rational
-  // evaluation where the O(2^n) formulas are affordable, seeded Monte Carlo
-  // beyond the cap — visibly, via Selection::note.
-  if (!request.scenario.is_default()) {
-    const Evaluator* exact = registry.find("exact");
-    const Evaluator* mc = registry.find("mc");
-    if (exact != nullptr && exact->supports(request)) {
-      selection.evaluator = exact;
-    } else if (mc != nullptr && mc->supports(request)) {
-      selection.evaluator = mc;
-      selection.fallback = true;
+    chain.push_back(&head);
+    pinned = 1;
+    for (std::string_view id = degrade_step(head.id(), request.scenario); !id.empty();
+         id = degrade_step(id, request.scenario)) {
+      admit(id);
+    }
+  } else if (request.scenario.is_default()) {
+    for (const std::string_view id : kHomogeneousAuto) {
+      if (id != "compiled" || compiled_qualifies(request, selection)) admit(id);
+    }
+  } else {
+    for (const std::string_view id : kGeneralizedAuto) admit(id);
+    if (!chain.empty() && chain.front()->id() != kGeneralizedAuto[0]) {
       selection.note = "scenario '" + request.scenario.digest() +
-                       "' exceeds the exact-evaluation cap; using seeded Monte Carlo";
-    } else {
-      throw Error("no engine supports scenario '" + request.scenario.digest() +
-                  "' for this request");
+                       "' exceeds the exact-evaluation cap";
     }
-    metrics.selects.add();
-    if (selection.fallback) metrics.fallbacks.add();
-    DDM_SPAN("engine.select",
-             {{"requested", "auto"},
-              {"chosen", selection.evaluator->id().data()},
-              {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
-    return selection;
   }
+  if (chain.empty()) {
+    throw Error("no engine supports this request (scenario '" + request.scenario.digest() +
+                "', n = " + std::to_string(request.n) + ")");
+  }
+
   // A loaded policy table (strictly resolved: a bad DDM_POLICY throws here
-  // rather than silently dispatching cold) reroutes auto through the model.
+  // rather than silently dispatching cold) reorders the chain.
   const std::shared_ptr<CostModel> model = CostModel::configured();
   if (model != nullptr && !model->empty()) {
-    apply_model(*model, policy, request, registry, selection);
-    metrics.selects.add();
-    if (selection.fallback) metrics.fallbacks.add();
-    DDM_SPAN("engine.select",
-             {{"requested", "auto"},
-              {"chosen", selection.evaluator->id().data()},
-              {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
-    return selection;
-  }
-  // The auto rule, byte-compatible with the pre-engine CLI: try the compiled
-  // plan for small symmetric grids, hold its certificate to the tolerance,
-  // fall back to the batch kernel otherwise — visibly, via Selection::note.
-  if (request.is_symmetric() && request.n >= 1 && request.n <= policy.compiled_max_n) {
-    try {
-      const auto plan =
-          PlanCache::instance().get_or_lower(request.n, request.t, request.scenario.digest());
-      selection.compiled_bound = plan->max_error_bound();
-      if (selection.compiled_bound <= policy.compiled_tolerance) {
-        selection.evaluator = &registry.require("compiled");
+    const Evaluator* built_in_head = chain.front();
+    order_by_cost(*model, registry, request, chain, pinned);
+    if (selection.auto_mode) {
+      selection.model_consulted = true;
+      metrics.policy_consults.add();
+      if (chain.front() == built_in_head) {
+        metrics.policy_static_wins.add();
       } else {
-        selection.fallback = true;
-        std::ostringstream note;
-        note << "compiled plan certificate " << selection.compiled_bound
-             << " exceeds tolerance " << policy.compiled_tolerance
-             << "; using the batch kernel";
-        selection.note = note.str();
+        metrics.policy_model_wins.add();
       }
-    } catch (const std::exception& error) {
-      selection.fallback = true;
-      selection.note = std::string("compiled lowering failed (") + error.what() +
-                       "); using the batch kernel";
     }
   }
-  if (selection.evaluator == nullptr) selection.evaluator = &registry.require("batch");
+  selection.evaluator = chain.front();
+  if (!selection.note.empty()) {
+    selection.fallback = true;
+    selection.note += "; using " + std::string(selection.id());
+    metrics.fallbacks.add();
+  }
   metrics.selects.add();
-  if (selection.fallback) metrics.fallbacks.add();
-  DDM_SPAN("engine.select", {{"requested", "auto"},
-                             {"chosen", selection.evaluator->id().data()},
-                             {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
+  // Span string args must outlive the trace export; the adapter ids are
+  // string literals, so they qualify (policy.engine would not).
+  DDM_SPAN("engine.select",
+           {{"requested", selection.auto_mode ? "auto" : selection.id().data()},
+            {"chosen", selection.id().data()},
+            {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
   return selection;
 }
 

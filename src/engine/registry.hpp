@@ -13,25 +13,42 @@
 //   certified   certified       escalation ladder (rigorous enclosures)
 //   mc          randomized      seeded Monte Carlo estimation
 //
-// `select` resolves an EnginePolicy against a request: a concrete id is
-// looked up directly, "auto" applies the compiled-vs-batch policy
-// (engine/policy.hpp) through the plan cache. The selection is returned —
-// never applied silently: when auto declines the compiled plan the Selection
-// carries a human-readable note so callers can surface the fallback (the
-// CLI prints it to stderr and stamps the winning engine into sweep JSON).
+// `rank` resolves an EnginePolicy against a request into ONE ordered
+// candidate chain: the head answers, the rest is the degradation order
+// engine::evaluate_resilient walks (engine/resilient.hpp). It is the only
+// code that orders engines:
 //
-// When a policy table is loaded (engine/cost_model.hpp — `ddm_cli calibrate`
-// output via --policy / DDM_POLICY / --policy-table), "auto" instead ranks
-// the interchangeable-value engines by predicted latency and picks the
-// fastest one whose accuracy contract still meets the REQUEST tolerance
-// (the compiled plan's certificate is held to request.tolerance, not the
-// static rule's fixed bound). Forced engine ids never consult the model,
-// and with no table loaded the static rule runs unchanged, byte for byte.
+//   policy        built-in order                      cost model
+//   -----------   ---------------------------------   ---------------------
+//   auto, homog.  compiled*, batch, kernel            reorders all three
+//   auto, gener.  exact (if supported), mc            mc never moves ahead
+//   forced id     id, then its degrade steps:         reorders the steps,
+//                 compiled->batch->kernel,            never the head
+//                 batch->kernel, certified->mc,
+//                 exact->mc (generalized games only)
+//
+//   * compiled is a candidate only for symmetric grids with
+//     1 <= n <= kCompiledAutoMaxN whose certificate clears the REQUEST
+//     tolerance (one BoundMemo lookup; the plan cache lowers on a miss).
+//
+// Engines that decline the request via supports() are dropped. With a
+// policy table loaded (engine/cost_model.hpp — `ddm_cli calibrate` output
+// via --policy / DDM_POLICY / --policy-table) the chain is stable-sorted by
+// predicted latency; engines the table has no data for keep the built-in
+// order behind the measured ones, so "no table" is simply an empty model.
+// Seeded Monte Carlo is an estimate, not a computation, so the model never
+// ranks it ahead of a deterministic candidate. The selection is returned —
+// never applied silently: when auto declines its first built-in choice the
+// Selection carries a human-readable note so callers can surface the
+// fallback (the CLI prints it to stderr and stamps the winning engine into
+// sweep JSON).
 //
 // Observability: `engine.select` spans (args: requested id, chosen id) and
-// `engine.selects` / `engine.fallbacks` counters; model consultation adds
-// `engine.policy.{consults,model_wins,static_wins}`; the plan cache adds
-// `engine.cache` spans and hit/miss/eviction counters.
+// `engine.selects` / `engine.fallbacks` counters; auto ranking under a
+// non-empty table adds `engine.policy.consults` and splits it into
+// `engine.policy.static_wins` (the model's head equals the built-in head)
+// and `engine.policy.model_wins`; the plan cache adds `engine.cache` spans
+// and hit/miss/eviction counters.
 #pragma once
 
 #include <limits>
@@ -75,32 +92,42 @@ class Registry {
 
 /// The outcome of resolving an EnginePolicy against a request.
 struct Selection {
+  /// The chain head: the engine that should answer.
   const Evaluator* evaluator = nullptr;
+  /// Every candidate that supports the request, head first, in the order
+  /// evaluate_resilient falls back through.
+  std::vector<const Evaluator*> chain;
   /// What the policy asked for ("auto" or a concrete id).
   std::string requested;
   /// True when the policy was "auto" (the chosen engine then appears in
   /// per-point reporting and fallbacks carry a note).
   bool auto_mode = false;
-  /// True when auto considered the compiled plan and declined it (certificate
-  /// over tolerance, or the lowering failed).
+  /// True when auto declined its first built-in choice: the compiled
+  /// plan's certificate missed the request tolerance or its lowering
+  /// failed, or a generalized game exceeds the exact-evaluation cap.
   bool fallback = false;
   /// One-line reason for the fallback, empty otherwise.
   std::string note;
-  /// The compiled plan's certified max-error bound when auto lowered one
+  /// The compiled plan's certified max-error bound when auto looked one up
   /// (NaN when lowering was not attempted or failed).
   double compiled_bound = std::numeric_limits<double>::quiet_NaN();
-  /// True when auto ranked candidates through a loaded CostModel instead of
-  /// the static rule (forced engines and table-less processes never set it).
+  /// True when auto ranked through a non-empty CostModel (forced engines
+  /// and table-less processes never set it).
   bool model_consulted = false;
 
   [[nodiscard]] std::string_view id() const noexcept { return evaluator->id(); }
 };
 
-/// Resolves `policy` against `request` on the process registry. Forced ids
-/// throw ddm::Error when unknown or unsupported for the request's shape;
-/// "auto" never throws for a well-formed request (the batch kernel is the
-/// universal fallback).
-[[nodiscard]] Selection select(const EnginePolicy& policy, const EvalRequest& request);
+/// Resolves `policy` against `request` on the process registry (see the
+/// table above). Forced ids throw ddm::Error when unknown or unsupported
+/// for the request's shape; "auto" throws only when no candidate supports
+/// the request.
+[[nodiscard]] Selection rank(const EnginePolicy& policy, const EvalRequest& request);
+
+/// The head of rank(), for callers that evaluate once without a chain.
+[[nodiscard]] inline Selection select(const EnginePolicy& policy, const EvalRequest& request) {
+  return rank(policy, request);
+}
 
 /// Adapts a registered engine into the threshold optimizer's batch-objective
 /// seam (core::BatchObjective): probe batches evaluate through the engine

@@ -1,11 +1,10 @@
 #include "engine/resilient.hpp"
 
-#include <algorithm>
 #include <exception>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "engine/cost_model.hpp"
 #include "engine/registry.hpp"
 #include "obs/metrics_registry.hpp"
 #include "util/fault.hpp"
@@ -41,57 +40,15 @@ struct ResilienceMetrics {
 
 }  // namespace
 
-std::vector<std::string_view> fallback_chain(std::string_view id) {
-  return fallback_chain(id, Scenario{});
-}
-
-std::vector<std::string_view> fallback_chain(std::string_view id, const Scenario& scenario) {
-  if (!scenario.is_default()) {
-    // Generalized games: the exact rational evaluators degrade to seeded
-    // Monte Carlo (an estimate — honestly flagged via `degraded`); mc is
-    // already the last resort. The homogeneous-only double kernels never
-    // serve these requests, so they get no chain.
-    if (id == "exact" || id == "certified") return {"mc"};
-    return {};
-  }
-  if (id == "compiled") return {"batch", "kernel"};
-  if (id == "batch") return {"kernel"};
-  if (id == "certified") return {"mc"};
-  return {};
-}
-
 EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalRequest& request) {
   const ResilienceMetrics& metrics = ResilienceMetrics::get();
-  const Selection selection = select(options.policy, request);
+  const std::vector<const Evaluator*> chain = rank(options.policy, request).chain;
 
-  std::vector<std::string_view> chain;
-  chain.push_back(selection.id());
-  for (const std::string_view id : fallback_chain(selection.id(), request.scenario)) {
-    chain.push_back(id);
-  }
-  // With a policy table loaded, try the fallbacks cheapest-predicted-first:
-  // the chain HEAD is the selection contract and never moves, but the order
-  // we burn the remaining deadline budget in is a pure latency question.
-  // Engines without table data predict +infinity and keep the static order
-  // (stable sort), so a sparse table cannot reshuffle what it never measured.
-  if (chain.size() > 2) {
-    if (const std::shared_ptr<CostModel> model = CostModel::configured();
-        model != nullptr && !model->empty()) {
-      const std::string& scenario = request.scenario.digest();
-      std::stable_sort(chain.begin() + 1, chain.end(),
-                       [&model, &request, &scenario](std::string_view lhs, std::string_view rhs) {
-                         return model->predict(lhs, request.n, request.size(), scenario) <
-                                model->predict(rhs, request.n, request.size(), scenario);
-                       });
-    }
-  }
-
-  Registry& registry = Registry::instance();
   std::string note;
   std::exception_ptr last_error;
   for (std::size_t stage = 0; stage < chain.size(); ++stage) {
-    const Evaluator* evaluator = registry.find(chain[stage]);
-    if (evaluator == nullptr || !evaluator->supports(request)) continue;
+    const Evaluator& evaluator = *chain[stage];
+    const std::string_view id = evaluator.id();
     const bool has_fallback = stage + 1 < chain.size();
 
     EvalRequest attempt = request;
@@ -111,11 +68,11 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         // Engine ids are literal-backed (Evaluator::id contract), so .data()
         // is a valid C string for the span attribute.
         DDM_SPAN("engine.attempt",
-                 {{"engine", chain[stage].data()}, {"stage", static_cast<std::int64_t>(stage)}});
-        EvalOutcome outcome = evaluator->evaluate(attempt);
+                 {{"engine", id.data()}, {"stage", static_cast<std::int64_t>(stage)}});
+        EvalOutcome outcome = evaluator.evaluate(attempt);
         if (stage > 0) {
           outcome.degraded = true;
-          outcome.degradation_note = note + " -> " + std::string(chain[stage]);
+          outcome.degradation_note = note + " -> " + std::string(id);
           metrics.degraded.add();
         }
         return outcome;
@@ -127,7 +84,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         if (options.control.should_stop() == util::StopReason::kDeadline) throw;
         last_error = std::current_exception();
         if (!note.empty()) note += " -> ";
-        note += std::string(chain[stage]) + ": deadline pressure";
+        note += std::string(id) + ": deadline pressure";
         break;
       } catch (const ParallelError&) {
         // A chunk exhausted its in-region retries — transient territory, so
@@ -135,7 +92,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         last_error = std::current_exception();
         if (tries >= options.retry.max_retries) {
           if (!note.empty()) note += " -> ";
-          note += std::string(chain[stage]) + ": evaluation failed";
+          note += std::string(id) + ": evaluation failed";
           break;
         }
         metrics.retries.add();
@@ -147,7 +104,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         last_error = std::current_exception();
         if (tries >= options.retry.max_retries) {
           if (!note.empty()) note += " -> ";
-          note += std::string(chain[stage]) + ": evaluation failed";
+          note += std::string(id) + ": evaluation failed";
           break;
         }
         metrics.retries.add();
@@ -158,15 +115,15 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         // the chain immediately — repeating a deterministic failure is waste.
         last_error = std::current_exception();
         if (!note.empty()) note += " -> ";
-        note += std::string(chain[stage]) + ": evaluation failed";
+        note += std::string(id) + ": evaluation failed";
         break;
       }
     }
   }
+  // rank() never returns an empty chain, and every stage that does not
+  // return records its error.
   metrics.chain_exhausted.add();
-  if (last_error) std::rethrow_exception(last_error);
-  throw Error("engine.resilient: no registered engine supports this request (chain head '" +
-              std::string(chain.front()) + "')");
+  std::rethrow_exception(last_error);
 }
 
 }  // namespace ddm::engine

@@ -1,23 +1,12 @@
 // resilient.hpp — resilient evaluation: retry, degradation chain, deadlines.
 //
-// engine::select (registry.hpp) answers "which engine SHOULD serve this
-// request"; evaluate_resilient answers "get me an answer anyway". It resolves
-// the policy, then walks a documented degradation chain when the preferred
-// engine fails or runs out of time:
-//
-//   preferred engine        fallback chain (homogeneous default scenario)
-//   ----------------        -----------------------------------------------
-//   compiled                batch, then kernel   (deterministic, same bits)
-//   batch                   kernel               (bitwise-equal by contract)
-//   certified               mc                   (estimate under deadline
-//                                                 pressure — honestly flagged)
-//   exact / kernel / mc     none                 (already the last resort)
-//
-// Under a generalized scenario (engine/scenario.hpp) the chains reshape:
-// exact and certified degrade to mc (the only other engine that serves
-// those games), everything else has no chain. Engines that decline a
-// scenario via supports() are skipped inside the walk, so the two views
-// stay consistent by construction.
+// engine::rank (registry.hpp) answers "which engines SHOULD serve this
+// request, in which order"; evaluate_resilient answers "get me an answer
+// anyway". It walks rank's candidate chain — head first, then the degrade
+// order documented there (compiled -> batch -> kernel, batch -> kernel,
+// certified -> mc, exact -> mc under a generalized game, or the auto
+// candidates in ranked order) — when the preferred engine fails or runs out
+// of time. This file holds no engine ordering of its own.
 //
 // Per attempt, a ddm::ParallelError (a chunk exhausted its in-region
 // retries) is retried at request level under ResilientOptions::retry —
@@ -38,25 +27,15 @@
 // See docs/robustness.md ("Degradation chain").
 #pragma once
 
-#include <string_view>
-#include <vector>
-
 #include "engine/evaluator.hpp"
 #include "engine/policy.hpp"
 #include "util/resilience.hpp"
 
 namespace ddm::engine {
 
-/// The documented fallback chain for a preferred engine id (see the table
-/// above); empty for engines that are already the last resort. The
-/// one-argument form is the homogeneous default scenario's chain.
-[[nodiscard]] std::vector<std::string_view> fallback_chain(std::string_view id);
-[[nodiscard]] std::vector<std::string_view> fallback_chain(std::string_view id,
-                                                           const Scenario& scenario);
-
 /// Knobs for evaluate_resilient.
 struct ResilientOptions {
-  /// Engine-selection policy, resolved via engine::select.
+  /// Engine-selection policy, resolved via engine::rank.
   EnginePolicy policy;
   /// Request deadline + cancellation; propagated into every attempt (and
   /// tightened to a soft deadline for engines that still have a fallback).

@@ -21,8 +21,8 @@
 // artifact computed for one game can ever be replayed for another.
 // Evaluators advertise scenario support through Evaluator::supports(); the
 // engines that cannot serve a generalized game (kernel, batch, compiled)
-// decline honestly, keeping select() and the evaluate_resilient fallback
-// chains correct without special cases.
+// decline honestly, keeping rank()'s candidate chains correct without
+// special cases.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 
 #include "core/symmetric_threshold.hpp"
 #include "engine/cost_model.hpp"
+#include "engine/registry.hpp"
 #include "net/ndjson.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -86,10 +87,13 @@ void observe_policy(const engine::EvalRequest& request, const std::string& engin
 }
 
 /// True for engines whose per-point answers do not depend on request seeds,
-/// so jobs from different clients can share one batched evaluation.
+/// so jobs from different clients can share one batched evaluation: the
+/// service policy ("" or "auto") and every registered deterministic engine.
 [[nodiscard]] bool coalescable_engine(const std::string& engine) {
-  return engine.empty() || engine == "auto" || engine == "batch" || engine == "compiled" ||
-         engine == "kernel";
+  if (engine.empty() || engine == "auto") return true;
+  const engine::Evaluator* evaluator = engine::Registry::instance().find(engine);
+  return evaluator != nullptr &&
+         evaluator->determinism() == engine::Determinism::kDeterministic;
 }
 
 }  // namespace
@@ -107,6 +111,9 @@ struct EvalService::Job {
   /// never share a batch.
   engine::Scenario scenario;
   double beta = 0.0;
+  /// Part of the coalescing key: auto admits the compiled plan by the
+  /// request tolerance, so jobs asking for different tolerances may be owed
+  /// different engines.
   util::Rational tolerance{1, 1000000000};
   std::uint64_t trials = 200000;
   std::uint64_t seed = 42;
@@ -262,12 +269,13 @@ void EvalService::worker_loop() {
       const Job& head = *group.front();
       if (head.op == "threshold" && coalescable_engine(head.engine)) {
         // Fold queued twins of the head — same instance (n, t), same engine
-        // choice — into one batched evaluation.
+        // choice, same tolerance — into one batched evaluation.
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < config_.coalesce_limit;) {
           const Job& candidate = **it;
           if (candidate.op == "threshold" && candidate.n == head.n &&
-              candidate.t_key == head.t_key && candidate.engine == head.engine &&
+              candidate.t_key == head.t_key && candidate.tolerance == head.tolerance &&
+              candidate.engine == head.engine &&
               candidate.scenario.digest() == head.scenario.digest()) {
             group.push_back(*it);
             it = queue_.erase(it);
@@ -293,6 +301,7 @@ void EvalService::serve_group(std::vector<std::shared_ptr<Job>>& group) {
     request.n = head.n;
     request.t = head.t;
     request.scenario = head.scenario;
+    request.tolerance = head.tolerance;
     request.betas.reserve(group.size());
     for (const auto& job : group) request.betas.push_back(job->beta);
     // The batch runs under the group's TIGHTEST remaining budget: if that

@@ -1,31 +1,40 @@
 // ddm::engine — registry, selection policy, plan cache, and fault injection.
 //
-// The selection tests pin the byte-compatibility contract of the auto
-// policy (engine/policy.hpp): compiled for small symmetric grids whose
-// certificate meets the tolerance, batch otherwise, and every fallback
-// visible in the Selection. The cache-fault tests pin satellite coverage:
+// The selection tests pin the auto policy (engine/policy.hpp): compiled for
+// small symmetric grids whose certificate meets the request tolerance,
+// batch otherwise, and every fallback visible in the Selection. The
+// EngineRank tests pin rank()'s full candidate chain for auto and every
+// forced id, per scenario, with and without a policy table. The cache-fault tests pin satellite coverage:
 // a fault that strikes during lowering must leave the plan cache
 // unpoisoned — no entry, no counted miss — and the next call re-lowers
 // successfully (matrix-run under DDM_THREADS=1/4 from tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <latch>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/nonoblivious.hpp"
 #include "core/threshold_optimizer.hpp"
+#include "engine/cost_model.hpp"
 #include "engine/engines.hpp"
 #include "engine/evaluator.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/policy.hpp"
 #include "engine/registry.hpp"
+#include "engine/scenario.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/status.hpp"
+#ifdef __unix__
+#include "net/service.hpp"
+#endif
 
 namespace ddm::engine {
 namespace {
@@ -135,6 +144,134 @@ TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
   EXPECT_EQ(selection.id(), "batch");
   EXPECT_FALSE(selection.fallback);
 }
+
+// --- ranked dispatch: the one candidate chain ----------------------------
+
+/// A table under which the cost model reorders everything it may: kernel
+/// is cheapest, then batch, and compiled is unmeasured. Under deviating:1 it
+/// claims Monte Carlo is free — an estimate must still never outrank an
+/// exact answer.
+std::shared_ptr<CostModel> reordering_table() {
+  auto model = std::make_shared<CostModel>();
+  for (const std::uint32_t n : {1u, 16u}) {
+    for (const std::uint32_t batch : {1u, 4096u}) {
+      model->set_cell("kernel", n, batch, 1e-9);
+      model->set_cell("batch", n, batch, 1e-8);
+      model->set_cell("mc@deviating:1", n, batch, 1e-15);
+      model->set_cell("exact@deviating:1", n, batch, 1.0);
+    }
+  }
+  return model;
+}
+
+/// The chain rank() returns, as ids; {"throws"} when rank() throws.
+std::vector<std::string_view> ranked_ids(const std::string& engine, const Scenario& scenario) {
+  EvalRequest request = small_grid(4, Rational{4, 3});
+  request.scenario = scenario;
+  EnginePolicy policy;
+  policy.engine = engine;
+  std::vector<std::string_view> ids;
+  try {
+    const Selection selection = rank(policy, request);
+    EXPECT_EQ(selection.evaluator, selection.chain.front()) << engine;
+    for (const Evaluator* evaluator : selection.chain) ids.push_back(evaluator->id());
+  } catch (const Error&) {
+    ids.emplace_back("throws");
+  }
+  return ids;
+}
+
+TEST(EngineRank, PinsEveryChainWithAndWithoutATable) {
+  using Chain = std::vector<std::string_view>;
+  const Scenario homogeneous;
+  const Scenario heterogeneous = Scenario::parse("heterogeneous:1/2,1,1,2");
+  const Scenario deviating = Scenario::parse("deviating:1");
+  const struct {
+    const char* engine;
+    const Scenario& scenario;
+    Chain without_table;
+    Chain with_table;
+  } cases[] = {
+      {"auto", homogeneous, {"compiled", "batch", "kernel"}, {"kernel", "batch", "compiled"}},
+      {"exact", homogeneous, {"exact"}, {"exact"}},
+      {"kernel", homogeneous, {"kernel"}, {"kernel"}},
+      {"batch", homogeneous, {"batch", "kernel"}, {"batch", "kernel"}},
+      {"compiled", homogeneous, {"compiled", "batch", "kernel"}, {"compiled", "kernel", "batch"}},
+      {"certified", homogeneous, {"certified", "mc"}, {"certified", "mc"}},
+      {"mc", homogeneous, {"mc"}, {"mc"}},
+      {"auto", heterogeneous, {"exact", "mc"}, {"exact", "mc"}},
+      {"exact", heterogeneous, {"exact", "mc"}, {"exact", "mc"}},
+      {"kernel", heterogeneous, {"throws"}, {"throws"}},
+      {"batch", heterogeneous, {"throws"}, {"throws"}},
+      {"compiled", heterogeneous, {"throws"}, {"throws"}},
+      {"certified", heterogeneous, {"certified", "mc"}, {"certified", "mc"}},
+      {"mc", heterogeneous, {"mc"}, {"mc"}},
+      {"auto", deviating, {"exact", "mc"}, {"exact", "mc"}},
+      {"exact", deviating, {"exact", "mc"}, {"exact", "mc"}},
+      {"kernel", deviating, {"throws"}, {"throws"}},
+      {"batch", deviating, {"throws"}, {"throws"}},
+      {"compiled", deviating, {"throws"}, {"throws"}},
+      {"certified", deviating, {"certified", "mc"}, {"certified", "mc"}},
+      {"mc", deviating, {"mc"}, {"mc"}},
+  };
+  for (const auto& test_case : cases) {
+    CostModel::set_configured(nullptr);
+    EXPECT_EQ(ranked_ids(test_case.engine, test_case.scenario), test_case.without_table)
+        << test_case.engine << " under " << test_case.scenario.digest() << ", no table";
+    CostModel::set_configured(reordering_table());
+    EXPECT_EQ(ranked_ids(test_case.engine, test_case.scenario), test_case.with_table)
+        << test_case.engine << " under " << test_case.scenario.digest() << ", table loaded";
+  }
+  CostModel::set_configured(nullptr);
+}
+
+TEST(EngineRank, AutoAdmitsCompiledByTheRequestTolerance) {
+  // n = 12, t = 4: the plan certificate (~3.2e-6) misses the default 1e-9
+  // but clears a 1e-5 request tolerance.
+  CostModel::set_configured(nullptr);
+  EvalRequest request = small_grid(12, Rational{4});
+  EXPECT_EQ(rank(EnginePolicy{}, request).id(), "batch");
+  request.tolerance = Rational{1, 100000};
+  const Selection relaxed = rank(EnginePolicy{}, request);
+  EXPECT_EQ(relaxed.id(), "compiled");
+  EXPECT_FALSE(relaxed.fallback);
+  EXPECT_LE(relaxed.compiled_bound, 1e-5);
+}
+
+#ifdef __unix__
+// A coalesced serve batch runs under its jobs' own tolerance: with the one
+// worker busy on a slow head job, queued n = 12, t = 4, tol = 1e-5 twins
+// fold into one batch whose replies name the engine a single such job gets
+// (compiled: the ~3.2e-6 plan certificate clears 1e-5, not the 1e-9
+// default).
+TEST(ServeCoalescing, GroupsHonourTheRequestTolerance) {
+  CostModel::set_configured(nullptr);
+  net::ServiceConfig config;
+  config.workers = 1;
+  net::EvalService service(config);
+  const std::string twin = R"({"op":"threshold","n":12,"t":"4","beta":0.5,"tol":1e-5})";
+  const std::string single = service.handle_line(twin);
+  ASSERT_NE(single.find("\"engine\":\"compiled\""), std::string::npos) << single;
+
+  // ~0.7 s of serial kernel work keeps the worker busy while the twins queue.
+  std::thread head([&service] {
+    (void)service.handle_line(
+        R"({"op":"threshold","n":16,"t":"5","beta":0.5,"engine":"kernel"})");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::vector<std::string> replies(4);
+  std::vector<std::thread> clients;
+  for (std::string& reply : replies) {
+    clients.emplace_back([&service, &twin, &reply] { reply = service.handle_line(twin); });
+  }
+  head.join();
+  for (std::thread& client : clients) client.join();
+  for (const std::string& reply : replies) {
+    EXPECT_NE(reply.find("\"coalesced\":true"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"engine\":\"compiled\""), std::string::npos) << reply;
+  }
+}
+#endif  // __unix__
 
 // --- engine-backed optimizer objective ----------------------------------
 

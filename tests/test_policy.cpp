@@ -12,14 +12,15 @@
 //      even under an adversarial table that lies about compiled being free.
 //      The interchangeable-value double kernels (batch, kernel) are always
 //      admissible, so that is the whole accuracy surface.
-//   3. The DEGRADATION contract: a sparse or irrelevant table falls back to
-//      exactly the static rule's choice, and forced engines bypass the
-//      model entirely.
+//   3. The DEGRADATION contract: a sparse or irrelevant table leaves
+//      rank()'s built-in order in place, and a forced engine is always the
+//      head of its chain.
 #include "engine/cost_model.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -142,7 +143,7 @@ TEST_F(PolicyTest, PredictInterpolatesWithinAndClampsOutsideTheGrid) {
   EXPECT_TRUE(std::isinf(model.predict("certified", 8, 64)));
 }
 
-TEST_F(PolicyTest, CheapestMatchesPredictArgmin) {
+TEST_F(PolicyTest, OrderMatchesPredictStableSort) {
   std::mt19937 rng(20260808);
   std::uniform_real_distribution<double> log_cost(-22.0, -4.0);
   std::uniform_int_distribution<std::uint32_t> pick_n(1, 16);
@@ -160,17 +161,14 @@ TEST_F(PolicyTest, CheapestMatchesPredictArgmin) {
     for (int probe = 0; probe < 8; ++probe) {
       const std::uint32_t n = pick_n(rng);
       const std::size_t batch = std::size_t{1} << (rng() % 13);
-      std::size_t expected = 3;
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < 3; ++i) {
-        const double predicted = model.predict(ids[i], n, batch);
-        if (predicted < best) {
-          best = predicted;
-          expected = i;
-        }
-      }
-      EXPECT_EQ(model.cheapest(ids, 3, n, batch), expected)
-          << "n=" << n << " batch=" << batch << " round=" << round;
+      std::vector<std::string_view> expected(std::begin(ids), std::end(ids));
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](std::string_view lhs, std::string_view rhs) {
+                         return model.predict(lhs, n, batch) < model.predict(rhs, n, batch);
+                       });
+      std::vector<std::string_view> ordered(std::begin(ids), std::end(ids));
+      model.order(ordered.data(), ordered.size(), n, batch);
+      EXPECT_EQ(ordered, expected) << "n=" << n << " batch=" << batch << " round=" << round;
     }
   }
 }
@@ -285,12 +283,38 @@ TEST_F(PolicyTest, StructuralGarbageIsRejected) {
 // Random tables — including engines the table lies about — may reroute the
 // auto rule between compiled / batch / kernel, but a request is handed to
 // the compiled plan ONLY when the plan's certificate clears the request
-// tolerance. Every chosen engine must support the request.
+// tolerance. Every chosen engine must support the request. The same holds
+// with no table at all: every (n, tolerance) pair is swept table-less first
+// (n = 8, t = 8/3 carries a ~8.2e-10 certificate, so a 1e-12 request must
+// not get the compiled plan).
 TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
   std::mt19937 rng(990817);
   std::uniform_real_distribution<double> log_cost(-24.0, -2.0);
   const Rational tolerances[] = {Rational{1, 1000000000000}, Rational{1, 1000000000},
                                  Rational{1, 1000000}, Rational{1, 1000}};
+  const auto check = [](const EvalRequest& request, const Selection& selection,
+                        const std::string& context) {
+    ASSERT_NE(selection.evaluator, nullptr) << context;
+    EXPECT_TRUE(selection.evaluator->supports(request)) << context;
+    const std::string id(selection.evaluator->id());
+    EXPECT_TRUE(id == "compiled" || id == "batch" || id == "kernel") << context << ": " << id;
+    if (id == "compiled") {
+      const auto plan = PlanCache::instance().get_or_lower(request.n, request.t);
+      EXPECT_LE(plan->max_error_bound(), request.tolerance.to_double())
+          << context << ": compiled chosen past the request tolerance";
+    }
+  };
+  CostModel::set_configured(nullptr);
+  for (std::uint32_t n = 1; n <= 14; ++n) {
+    for (const Rational& tolerance : tolerances) {
+      const EvalRequest request = sweep(n, Rational{n, 3}, 4, tolerance);
+      const Selection selection = select(EnginePolicy{}, request);
+      EXPECT_FALSE(selection.model_consulted);
+      check(request, selection,
+            "no table, n = " + std::to_string(n) + ", tol = " + tolerance.to_string());
+    }
+  }
+
   const char* candidates[] = {"compiled", "batch", "kernel"};
   for (int round = 0; round < 40; ++round) {
     auto model = std::make_shared<CostModel>();
@@ -310,18 +334,10 @@ TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
     const EvalRequest request = sweep(n, t, 1 + rng() % 64, tolerance);
     const Selection selection = select(EnginePolicy{}, request);
 
-    ASSERT_NE(selection.evaluator, nullptr);
-    // A round can roll an entirely empty table; select() then stays on the
-    // static branch and never consults the model at all.
+    // A round can roll an entirely empty table; rank() then keeps its
+    // built-in order and never counts a model consultation.
     EXPECT_EQ(selection.model_consulted, !model->empty());
-    EXPECT_TRUE(selection.evaluator->supports(request));
-    const std::string id(selection.evaluator->id());
-    EXPECT_TRUE(id == "compiled" || id == "batch" || id == "kernel") << id;
-    if (id == "compiled") {
-      const auto plan = PlanCache::instance().get_or_lower(request.n, request.t);
-      EXPECT_LE(plan->max_error_bound(), request.tolerance.to_double())
-          << "round " << round << ": compiled chosen past the request tolerance";
-    }
+    check(request, selection, "round " + std::to_string(round));
   }
 }
 
@@ -355,7 +371,7 @@ TEST_F(PolicyTest, AdversarialTableCannotForceCompiledPastTolerance) {
 
 TEST_F(PolicyTest, SparseTableDegradesToTheStaticChoice) {
   // Cells only for an engine that is never an auto candidate: every
-  // candidate predicts +infinity and the choice is the static rule's.
+  // candidate predicts +infinity and the choice is the built-in order's.
   auto irrelevant = std::make_shared<CostModel>();
   irrelevant->set_cell("mc", 4, 16, 1.0e-9);
   const EvalRequest request = sweep(4, Rational{4, 3}, 8, Rational{1, 1000000000});

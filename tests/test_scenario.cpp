@@ -26,7 +26,6 @@
 #include "engine/cost_model.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
-#include "engine/resilient.hpp"
 #include "prob/rng.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rational.hpp"
@@ -327,7 +326,7 @@ TEST(DeviatingCore, SimulationTracksExactWorstCase) {
   EXPECT_NEAR(sim.estimate, reference, 0.01);
 }
 
-// --- selection + fallback chains under generalized games --------------------
+// --- selection under generalized games (chains: EngineRank.*) ------------
 
 TEST(ScenarioSelection, AutoPicksExactWithinCapAndMcBeyond) {
   engine::EnginePolicy policy;  // auto
@@ -343,18 +342,6 @@ TEST(ScenarioSelection, AutoPicksExactWithinCapAndMcBeyond) {
   EXPECT_EQ(beyond.id(), "mc");
   EXPECT_TRUE(beyond.fallback);
   EXPECT_FALSE(beyond.note.empty());
-}
-
-TEST(ScenarioSelection, FallbackChainsReshape) {
-  const Scenario generalized = Scenario::deviating(1);
-  EXPECT_EQ(engine::fallback_chain("exact", generalized),
-            (std::vector<std::string_view>{"mc"}));
-  EXPECT_EQ(engine::fallback_chain("certified", generalized),
-            (std::vector<std::string_view>{"mc"}));
-  EXPECT_TRUE(engine::fallback_chain("compiled", generalized).empty());
-  // The one-argument form stays the homogeneous table.
-  EXPECT_EQ(engine::fallback_chain("compiled"),
-            (std::vector<std::string_view>{"batch", "kernel"}));
 }
 
 // --- cost-model scenario rows ------------------------------------------------

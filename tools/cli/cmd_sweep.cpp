@@ -4,8 +4,8 @@
 //   * forced (--engine=<id>, id != auto): the named engine evaluates every
 //     point and rows keep the pre-engine format {"n", "t", "beta", "p_win"} —
 //     pinned byte-identical to the pre-refactor CLI by tests/golden_cli/.
-//   * auto (default or --engine=auto): engine::select applies the
-//     compiled-vs-batch policy; every row gains an "engine" field naming the
+//   * auto (default or --engine=auto): engine::rank picks the head of its
+//     ranked candidates; every row gains an "engine" field naming the
 //     backend that actually produced it, and a fallback (compiled plan
 //     declined) is announced once on stderr — never silent.
 //   * --certify / --engine=certified: the certified grid (exact rational

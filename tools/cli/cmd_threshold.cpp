@@ -16,6 +16,22 @@ namespace ddm::cli {
 
 namespace {
 
+/// Evaluates one point through `policy` and prints the engine-tagged
+/// `P(no overflow) = … [engine: …, …]` line. `request` carries the point.
+void print_engine_value(const engine::EnginePolicy& policy, const engine::EvalRequest& request) {
+  const engine::Selection selection = engine::select(policy, request);
+  report_fallback(selection);
+  const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
+  const auto flags = std::cout.flags();
+  const auto precision = std::cout.precision();
+  std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
+            << "  P(no overflow) = " << outcome.values.at(0) << "  [engine: "
+            << outcome.engine_id << ", "
+            << engine::to_string(selection.evaluator->determinism()) << "]\n";
+  std::cout.flags(flags);
+  std::cout.precision(precision);
+}
+
 /// Generalized-game evaluation: route through the engine layer (the only
 /// seam that knows which backend serves which scenario). --certify forces
 /// the certified engine so the answer carries a rigorous enclosure; the
@@ -29,24 +45,15 @@ int run_threshold_scenario(const engine::Scenario& scenario, std::uint32_t n,
   auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
   request.exact_betas = {beta};
   request.scenario = scenario;
-  if (options.certify.enabled) request.tolerance = options.certify.policy.tolerance;
-  const engine::Selection selection = engine::select(policy, request);
-  report_fallback(selection);
-  const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
-  if (options.certify.enabled) {
-    const ddm::CertifiedValue& result = outcome.certificates.at(0);
-    print_certified(result, options.certify.policy);
-    return result.met_tolerance ? 0 : 3;
+  if (!options.certify.enabled) {
+    print_engine_value(policy, request);
+    return 0;
   }
-  const auto flags = std::cout.flags();
-  const auto precision = std::cout.precision();
-  std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
-            << "  P(no overflow) = " << outcome.values.at(0) << "  [engine: "
-            << outcome.engine_id << ", "
-            << engine::to_string(selection.evaluator->determinism()) << "]\n";
-  std::cout.flags(flags);
-  std::cout.precision(precision);
-  return 0;
+  request.tolerance = options.certify.policy.tolerance;
+  const ddm::CertifiedValue result =
+      engine::select(policy, request).evaluator->evaluate(request).certificates.at(0);
+  print_certified(result, options.certify.policy);
+  return result.met_tolerance ? 0 : 3;
 }
 
 }  // namespace
@@ -77,17 +84,7 @@ int run_threshold(const std::vector<std::string>& args, const Options& options) 
     policy.engine = options.engine;
     auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
     request.exact_betas = {beta};
-    const engine::Selection selection = engine::select(policy, request);
-    report_fallback(selection);
-    const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
-    const auto flags = std::cout.flags();
-    const auto precision = std::cout.precision();
-    std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
-              << "  P(no overflow) = " << outcome.values.at(0) << "  [engine: "
-              << outcome.engine_id << ", "
-              << engine::to_string(selection.evaluator->determinism()) << "]\n";
-    std::cout.flags(flags);
-    std::cout.precision(precision);
+    print_engine_value(policy, request);
     return 0;
   }
   const util::Rational p = core::symmetric_threshold_winning_probability(n, beta, t);

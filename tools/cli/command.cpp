@@ -117,9 +117,9 @@ constexpr std::array<Command, 11> kCommands{{
      "by median-of-3 timed runs of a fixed beta-grid request at t = n/3,\n"
      "recording seconds per point. The result is a versioned + checksummed\n"
      "policy table; once loaded (--policy / DDM_POLICY / ddm_serve\n"
-     "--policy-table) `--engine=auto` picks the predicted-fastest engine\n"
-     "whose accuracy contract still meets the request tolerance instead of\n"
-     "applying the static rule. The table is written to --policy=<out>, or\n"
+     "--policy-table) `--engine=auto` ranks the engines whose accuracy\n"
+     "contract meets the request tolerance by predicted latency instead of\n"
+     "keeping the built-in order. The table is written to --policy=<out>, or\n"
      "to <store>/policy.ddmpolicy next to the plan store. Refuses non-\n"
      "release builds, like scripts/run_bench.sh (timings from a debug build\n"
      "would mistune dispatch on every later run).",

@@ -83,7 +83,7 @@ struct ServeConfig {
   std::uint16_t port = 0;
   int backlog = 64;
   std::string plan_store;    ///< empty = DDM_PLAN_STORE (or no store at all)
-  std::string policy_table;  ///< empty = DDM_POLICY (or static dispatch)
+  std::string policy_table;  ///< empty = DDM_POLICY (or the built-in order)
   ddm::net::ServiceConfig service;
 };
 
