@@ -409,7 +409,8 @@ BENCHMARK(BM_SweepCompiled)->Arg(1024)->Arg(10000)->UseRealTime()->MinTime(1.0);
 
 // Same symmetric n = 12 sweep through the batch kernel — the `--engine=kernel`
 // fallback path, and the denominator of the compiled-vs-kernel ratio on the
-// exact CLI workload (small grid: one point costs ~3^12 subset visits).
+// exact CLI workload (small grid: the points are constant, so each block
+// takes the per-size path, 2·(2^13 − 1) subset visits).
 void BM_SweepKernel(benchmark::State& state) {
   const std::size_t n = 12;
   const std::size_t steps = static_cast<std::size_t>(state.range(0));
@@ -426,6 +427,21 @@ void BM_SweepKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepKernel)->Arg(8)->UseRealTime();
 
+// n = 10 grid for the amortized-walk families. Player i sits 0.001·i above
+// the grid value, so no point is constant and every run takes the general
+// walk (constant points take the per-size path, which BM_BatchSymmetric
+// measures).
+std::vector<std::vector<double>> amortized_grid(std::size_t n, std::size_t grid) {
+  std::vector<std::vector<double>> points(grid, std::vector<double>(n));
+  for (std::size_t k = 0; k < grid; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      points[k][i] = 0.05 + 0.9 * static_cast<double>(k) / static_cast<double>(grid) +
+                     0.001 * static_cast<double>(i);
+    }
+  }
+  return points;
+}
+
 // One amortized subset walk per block of kThresholdBatchBlock points versus
 // the per-point loop (BM_ThresholdBatchSerial): the walk's sign/subset-sum
 // bookkeeping is hoisted to per-subset state, so per-point cost falls toward
@@ -436,10 +452,7 @@ void BM_BatchAmortized(benchmark::State& state) {
   const ddm::util::simd::ScopedForceWidth force_scalar{1};
   const std::size_t n = 10;
   const std::size_t grid = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<double>> points(grid);
-  for (std::size_t k = 0; k < grid; ++k) {
-    points[k].assign(n, 0.05 + 0.9 * static_cast<double>(k) / static_cast<double>(grid));
-  }
+  const std::vector<std::vector<double>> points = amortized_grid(n, grid);
   const double t = static_cast<double>(n) / 3.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ddm::core::threshold_winning_probability_batch(points, t));
@@ -475,10 +488,7 @@ void BM_BatchAmortizedSimd(benchmark::State& state) {
       ddm::util::simd::native_width()};
   const std::size_t n = 10;
   const std::size_t grid = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<double>> points(grid);
-  for (std::size_t k = 0; k < grid; ++k) {
-    points[k].assign(n, 0.05 + 0.9 * static_cast<double>(k) / static_cast<double>(grid));
-  }
+  const std::vector<std::vector<double>> points = amortized_grid(n, grid);
   const double t = static_cast<double>(n) / 3.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ddm::core::threshold_winning_probability_batch(points, t));
@@ -489,6 +499,25 @@ void BM_BatchAmortizedSimd(benchmark::State& state) {
       static_cast<double>(ddm::util::simd::dispatch_width());
 }
 BENCHMARK(BM_BatchAmortizedSimd)->Arg(16)->Arg(64)->UseRealTime();
+
+// Symmetric points (all twelve thresholds equal β) through the batch kernel:
+// the per-size path walks one zeros and one ones bracket per size,
+// 2·(2^13 − 1) subsets per run instead of 2·3^12. One point is the
+// single-request serve shape; 16 fill one kThresholdBatchBlock block.
+void BM_BatchSymmetric(benchmark::State& state) {
+  const std::size_t n = 12;
+  const std::size_t grid = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<double>> points(grid);
+  for (std::size_t k = 0; k < grid; ++k) {
+    points[k].assign(n, 0.3 + 0.4 * static_cast<double>(k) / static_cast<double>(grid));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::core::threshold_winning_probability_batch(points, 4.0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(grid));
+}
+BENCHMARK(BM_BatchSymmetric)->Arg(1)->Arg(16)->UseRealTime();
 
 void BM_SweepCompiledSimd(benchmark::State& state) {
   const ddm::util::simd::ScopedForceWidth force_native{

@@ -40,7 +40,7 @@
 namespace ddm::core::detail {
 
 // Structure-of-arrays scratch for one amortized run; one instance per chunk,
-// reused across the chunk's runs and decision vectors.
+// reused across the chunk's runs and decision vectors (or bracket sizes).
 struct BatchWorkspace {
   std::vector<double> coords;  // transposed run coordinates, coords[i·P + p]
   std::vector<double> deltas;  // per-member base increments for the current walk
@@ -48,6 +48,9 @@ struct BatchWorkspace {
   std::vector<double> ss, sc;  // bracket-accumulator Kahan state
   std::vector<double> prod;    // ones-bracket Π (1 − a_l)
   std::vector<double> zres;    // zeros-bracket value per point
+  std::vector<double> ores;    // ones-bracket value per point
+  std::vector<double> zeros_by_size;  // per-size path: zeros bracket, [s·P + p]
+  std::vector<double> ones_by_size;   // per-size path: ones bracket, [s·P + p]
   std::vector<double> total;
 };
 

@@ -1,8 +1,10 @@
 #include "core/nonoblivious.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -46,6 +48,32 @@ std::uint64_t general_kernel_subsets(std::size_t n) noexcept {
   std::uint64_t p = 1;
   for (std::size_t i = 0; i < n; ++i) p *= 3;
   return 2 * p;
+}
+
+// 2·(2^(n+1) − 1): subset evaluations of the per-size path, which walks one
+// zeros and one ones bracket per size s = 0..n (Σ_s 2^s + 2^s).
+std::uint64_t per_size_kernel_subsets(std::size_t n) noexcept {
+  return 2 * ((std::uint64_t{2} << n) - 1);
+}
+
+// True when every coordinate carries a[0]'s bit pattern (so 0.0 and −0.0
+// differ). Then a Theorem 5.1 bracket over any s players sees the same delta
+// sequence in the same Gray order, whichever players they are, and yields
+// the same bits: each bracket value depends on its size alone (Section 5.2),
+// and the kernels evaluate it once per size instead of once per decision
+// vector (docs/performance.md §1.5).
+bool constant_point(std::span<const double> a) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(a.front());
+  return std::all_of(a.begin() + 1, a.end(),
+                     [bits](double x) { return std::bit_cast<std::uint64_t>(x) == bits; });
+}
+
+// Splits players 0..n−1 by decision vector b: bit i set puts player i in bin 1.
+void split_players(std::uint64_t b, std::size_t n, std::vector<std::size_t>& zeros,
+                   std::vector<std::size_t>& ones) {
+  zeros.clear();
+  ones.clear();
+  for (std::size_t i = 0; i < n; ++i) ((b >> i) & 1u ? ones : zeros).push_back(i);
 }
 
 void check_thresholds(std::span<const Rational> a, std::size_t max_n) {
@@ -152,15 +180,7 @@ Rational threshold_winning_probability(std::span<const Rational> a, const Ration
   ones.reserve(n);
   const std::uint64_t limit = std::uint64_t{1} << n;
   for (std::uint64_t b = 0; b < limit; ++b) {
-    zeros.clear();
-    ones.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        ones.push_back(i);
-      } else {
-        zeros.push_back(i);
-      }
-    }
+    split_players(b, n, zeros, ones);
     total += zeros_bracket(a, zeros, t) * ones_bracket(a, ones, t);
   }
   return total;
@@ -176,7 +196,10 @@ double threshold_winning_probability(std::span<const double> a, double t) {
   const KernelMetrics& metrics = KernelMetrics::get();
   DDM_SPAN("kernel.gray_ie", {{"n", static_cast<std::int64_t>(n)}});
   metrics.gray_calls.add();
-  if (obs::metrics_enabled()) metrics.subsets_visited.add(general_kernel_subsets(n));
+  const bool per_size = constant_point(a);
+  if (obs::metrics_enabled()) {
+    metrics.subsets_visited.add(per_size ? per_size_kernel_subsets(n) : general_kernel_subsets(n));
+  }
 
   // Gray-code brackets, mirroring the exact versions above: one running-sum
   // update per subset and binary exponentiation instead of std::pow. The
@@ -230,19 +253,27 @@ double threshold_winning_probability(std::span<const double> a, double t) {
   };
 
   double total = 0.0;
+  const std::uint64_t limit = std::uint64_t{1} << n;
+  if (per_size) {
+    // One bracket per size, then the general path's b-ordered sum.
+    std::vector<std::size_t> players(n);
+    std::iota(players.begin(), players.end(), std::size_t{0});
+    std::vector<double> zeros_by_size(n + 1);
+    std::vector<double> ones_by_size(n + 1);
+    for (std::size_t s = 0; s <= n; ++s) {
+      zeros_by_size[s] = zeros_bracket_d(std::span{players}.first(s));
+      ones_by_size[s] = ones_bracket_d(std::span{players}.first(s));
+    }
+    for (std::uint64_t b = 0; b < limit; ++b) {
+      const std::size_t k = combinat::popcount(b);
+      total += zeros_by_size[n - k] * ones_by_size[k];
+    }
+    return require_finite(total, "threshold_winning_probability: double result");
+  }
   std::vector<std::size_t> zeros;
   std::vector<std::size_t> ones;
-  const std::uint64_t limit = std::uint64_t{1} << n;
   for (std::uint64_t b = 0; b < limit; ++b) {
-    zeros.clear();
-    ones.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        ones.push_back(i);
-      } else {
-        zeros.push_back(i);
-      }
-    }
+    split_players(b, n, zeros, ones);
     total += zeros_bracket_d(zeros) * ones_bracket_d(ones);
   }
   return require_finite(total, "threshold_winning_probability: double result");
@@ -301,13 +332,87 @@ void subset_walk(const double* deltas, std::size_t sz, std::size_t count, std::u
   }
 }
 
+void record_compensation(const BatchWorkspace& ws, std::size_t count) {
+  if (!obs::metrics_enabled()) return;
+  const KernelMetrics& metrics = KernelMetrics::get();
+  for (std::size_t p = 0; p < count; ++p) metrics.kahan_compensation.record(std::abs(ws.sc[p]));
+}
+
+// Zeros bracket over the players in `zeros` for every point of the run,
+// written to out[p]. The base tracks t − Σ_{l∈I} a_l, so entering adds −a_l.
+void zeros_bracket_run(std::span<const std::size_t> zeros, std::size_t count, double t,
+                       double* out, BatchWorkspace& ws, int width) {
+  const std::size_t m = zeros.size();
+  if (m == 0) {
+    std::fill_n(out, count, 1.0);
+    return;
+  }
+  const auto mm = static_cast<std::uint32_t>(m);
+  const double init = combinat::pow_uint(t, mm);  // I = ∅ (t > 0)
+  for (std::size_t p = 0; p < count; ++p) {
+    ws.rs[p] = t;
+    ws.rc[p] = 0.0;
+    ws.ss[p] = init;
+    ws.sc[p] = 0.0;
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    const double* col = ws.coords.data() + zeros[j] * count;
+    for (std::size_t p = 0; p < count; ++p) ws.deltas[j * count + p] = -col[p];
+  }
+  subset_walk(ws.deltas.data(), m, count, mm, ws, width);
+  record_compensation(ws, count);
+  const double inv_fact = combinat::inverse_factorial_double(mm);
+  for (std::size_t p = 0; p < count; ++p) out[p] = (ws.ss[p] + ws.sc[p]) * inv_fact;
+}
+
+// Ones bracket over the players in `ones` for every point of the run, written
+// to out[p]. The base tracks k − t + Σ_{l∈I} (a_l − 1), entering adds a_l − 1.
+void ones_bracket_run(std::span<const std::size_t> ones, std::size_t count, double t,
+                      double* out, BatchWorkspace& ws, int width) {
+  const std::size_t k = ones.size();
+  if (k == 0) {
+    std::fill_n(out, count, 1.0);
+    return;
+  }
+  const auto kk = static_cast<std::uint32_t>(k);
+  std::fill(ws.prod.begin(), ws.prod.end(), 1.0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* col = ws.coords.data() + ones[j] * count;
+    for (std::size_t p = 0; p < count; ++p) {
+      ws.prod[p] *= 1.0 - col[p];
+      ws.deltas[j * count + p] = col[p] - 1.0;
+    }
+  }
+  const double base0 = static_cast<double>(k) - t;
+  const double init = base0 > 0.0 ? combinat::pow_uint(base0, kk) : 0.0;
+  for (std::size_t p = 0; p < count; ++p) {
+    ws.rs[p] = base0;
+    ws.rc[p] = 0.0;
+    ws.ss[p] = init;
+    ws.sc[p] = 0.0;
+  }
+  subset_walk(ws.deltas.data(), k, count, kk, ws, width);
+  record_compensation(ws, count);
+  const double inv_fact = combinat::inverse_factorial_double(kk);
+  for (std::size_t p = 0; p < count; ++p) {
+    out[p] = ws.prod[p] - (ws.ss[p] + ws.sc[p]) * inv_fact;
+  }
+}
+
 // Evaluates Theorem 5.1 for a run of `count` points of equal size n sharing
-// one Gray-code subset walk per decision vector, writing out[p] bitwise equal
-// to threshold_winning_probability(points[first + p], t).
+// one Gray-code subset walk per bracket, writing out[p] bitwise equal to
+// threshold_winning_probability(points[first + p], t). When every point of
+// the run is constant the brackets depend on their size alone, so the run
+// walks one zeros and one ones bracket per size instead of per decision
+// vector, then sums in the same b order.
 void amortized_run(std::span<const std::vector<double>> points, std::size_t first,
                    std::size_t count, double t, std::span<double> out, BatchWorkspace& ws,
                    int width) {
   const std::size_t n = points[first].size();
+  const auto run = points.subspan(first, count);
+  const bool per_size = std::all_of(run.begin(), run.end(), [](const std::vector<double>& point) {
+    return constant_point(point);
+  });
   DDM_SPAN("kernel.batch_walk", {{"n", static_cast<std::int64_t>(n)},
                                  {"points", static_cast<std::int64_t>(count)}});
   const KernelMetrics& kernel_metrics = KernelMetrics::get();
@@ -315,7 +420,8 @@ void amortized_run(std::span<const std::vector<double>> points, std::size_t firs
   batch_metrics.points.add(count);
   batch_metrics.walks_amortized.add(count - 1);
   if (obs::metrics_enabled()) {
-    kernel_metrics.subsets_visited.add(general_kernel_subsets(n));
+    kernel_metrics.subsets_visited.add(per_size ? per_size_kernel_subsets(n)
+                                                : general_kernel_subsets(n));
     batch_metrics.simd_width.set(width);
     if (width > 1) {
       batch_metrics.vector_lanes.add(count - count % static_cast<std::size_t>(width));
@@ -324,89 +430,41 @@ void amortized_run(std::span<const std::vector<double>> points, std::size_t firs
 
   ws.coords.resize(n * count);
   for (std::size_t p = 0; p < count; ++p) {
-    for (std::size_t i = 0; i < n; ++i) ws.coords[i * count + p] = points[first + p][i];
+    for (std::size_t i = 0; i < n; ++i) ws.coords[i * count + p] = run[p][i];
   }
   ws.deltas.resize(n * count);
-  for (auto* buf : {&ws.rs, &ws.rc, &ws.ss, &ws.sc, &ws.prod, &ws.zres, &ws.total}) {
+  for (auto* buf : {&ws.rs, &ws.rc, &ws.ss, &ws.sc, &ws.prod, &ws.zres, &ws.ores, &ws.total}) {
     buf->resize(count);
   }
   std::fill(ws.total.begin(), ws.total.end(), 0.0);
 
-  std::vector<std::size_t> zeros;
-  std::vector<std::size_t> ones;
-  zeros.reserve(n);
-  ones.reserve(n);
   const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    zeros.clear();
-    ones.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        ones.push_back(i);
-      } else {
-        zeros.push_back(i);
-      }
+  if (per_size) {
+    ws.zeros_by_size.resize((n + 1) * count);
+    ws.ones_by_size.resize((n + 1) * count);
+    std::vector<std::size_t> players(n);
+    std::iota(players.begin(), players.end(), std::size_t{0});
+    for (std::size_t s = 0; s <= n; ++s) {
+      const auto members = std::span<const std::size_t>{players}.first(s);
+      zeros_bracket_run(members, count, t, ws.zeros_by_size.data() + s * count, ws, width);
+      ones_bracket_run(members, count, t, ws.ones_by_size.data() + s * count, ws, width);
     }
-
-    // Zeros bracket: base tracks t − Σ_{l∈I} a_l, so entering adds −a_l.
-    const std::size_t m = zeros.size();
-    if (m == 0) {
-      std::fill(ws.zres.begin(), ws.zres.end(), 1.0);
-    } else {
-      const auto mm = static_cast<std::uint32_t>(m);
-      const double init = combinat::pow_uint(t, mm);  // I = ∅ (t > 0)
-      for (std::size_t p = 0; p < count; ++p) {
-        ws.rs[p] = t;
-        ws.rc[p] = 0.0;
-        ws.ss[p] = init;
-        ws.sc[p] = 0.0;
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const double* col = ws.coords.data() + zeros[j] * count;
-        for (std::size_t p = 0; p < count; ++p) ws.deltas[j * count + p] = -col[p];
-      }
-      subset_walk(ws.deltas.data(), m, count, mm, ws, width);
-      if (obs::metrics_enabled()) {
-        for (std::size_t p = 0; p < count; ++p) {
-          kernel_metrics.kahan_compensation.record(std::abs(ws.sc[p]));
-        }
-      }
-      const double inv_fact = combinat::inverse_factorial_double(mm);
-      for (std::size_t p = 0; p < count; ++p) ws.zres[p] = (ws.ss[p] + ws.sc[p]) * inv_fact;
+    for (std::uint64_t b = 0; b < limit; ++b) {
+      const std::size_t k = combinat::popcount(b);
+      const double* zres = ws.zeros_by_size.data() + (n - k) * count;
+      const double* ores = ws.ones_by_size.data() + k * count;
+      for (std::size_t p = 0; p < count; ++p) ws.total[p] += zres[p] * ores[p];
     }
-
-    // Ones bracket: base tracks k − t + Σ_{l∈I} (a_l − 1), entering adds a_l − 1.
-    const std::size_t k = ones.size();
-    if (k == 0) {
-      for (std::size_t p = 0; p < count; ++p) ws.total[p] += ws.zres[p] * 1.0;
-      continue;
-    }
-    const auto kk = static_cast<std::uint32_t>(k);
-    std::fill(ws.prod.begin(), ws.prod.end(), 1.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* col = ws.coords.data() + ones[j] * count;
-      for (std::size_t p = 0; p < count; ++p) {
-        ws.prod[p] *= 1.0 - col[p];
-        ws.deltas[j * count + p] = col[p] - 1.0;
-      }
-    }
-    const double base0 = static_cast<double>(k) - t;
-    const double init = base0 > 0.0 ? combinat::pow_uint(base0, kk) : 0.0;
-    for (std::size_t p = 0; p < count; ++p) {
-      ws.rs[p] = base0;
-      ws.rc[p] = 0.0;
-      ws.ss[p] = init;
-      ws.sc[p] = 0.0;
-    }
-    subset_walk(ws.deltas.data(), k, count, kk, ws, width);
-    if (obs::metrics_enabled()) {
-      for (std::size_t p = 0; p < count; ++p) {
-        kernel_metrics.kahan_compensation.record(std::abs(ws.sc[p]));
-      }
-    }
-    const double inv_fact = combinat::inverse_factorial_double(kk);
-    for (std::size_t p = 0; p < count; ++p) {
-      ws.total[p] += ws.zres[p] * (ws.prod[p] - (ws.ss[p] + ws.sc[p]) * inv_fact);
+  } else {
+    std::vector<std::size_t> zeros;
+    std::vector<std::size_t> ones;
+    zeros.reserve(n);
+    ones.reserve(n);
+    for (std::uint64_t b = 0; b < limit; ++b) {
+      split_players(b, n, zeros, ones);
+      zeros_bracket_run(zeros, count, t, ws.zres.data(), ws, width);
+      ones_bracket_run(ones, count, t, ws.ores.data(), ws, width);
+      for (std::size_t p = 0; p < count; ++p) ws.total[p] += ws.zres[p] * ws.ores[p];
     }
   }
 

@@ -31,6 +31,9 @@ namespace ddm::core {
                                                            const util::Rational& t);
 
 /// Double-precision Theorem 5.1 for arbitrary thresholds (same O(3^n) sum).
+/// A constant point (every coordinate with the same bit pattern) walks each
+/// bracket once per size instead of once per decision vector, O(2^n), with
+/// the same bits (docs/performance.md §1.5).
 [[nodiscard]] double threshold_winning_probability(std::span<const double> a, double t);
 
 /// Points per parallel chunk of threshold_winning_probability_batch. One
@@ -42,8 +45,9 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
 /// Evaluates threshold_winning_probability(points[p], t) for every p, fanning
 /// blocks of kThresholdBatchBlock points out across the global thread pool
 /// (util::parallel_for). Within a block, each run of equal-size points shares
-/// ONE reflected-Gray-code subset walk per decision vector: the flip-bit /
-/// sign / subset bookkeeping is hoisted into per-subset state and only the
+/// ONE reflected-Gray-code subset walk per bracket (per bracket size when
+/// every point of the run is constant, per decision vector otherwise): the
+/// flip-bit / sign / subset bookkeeping is hoisted into per-subset state and only the
 /// per-point clamped-power + Kahan-accumulate arithmetic remains in the inner
 /// loop (structure-of-arrays, written to auto-vectorize). Per point the
 /// floating-point op sequence is exactly the serial evaluator's, so values[p]

@@ -253,10 +253,10 @@ TEST(ServeCoalescing, GroupsHonourTheRequestTolerance) {
   const std::string single = service.handle_line(twin);
   ASSERT_NE(single.find("\"engine\":\"compiled\""), std::string::npos) << single;
 
-  // ~0.7 s of serial kernel work keeps the worker busy while the twins queue.
+  // ~0.3 s of Monte Carlo work keeps the worker busy while the twins queue.
   std::thread head([&service] {
     (void)service.handle_line(
-        R"({"op":"threshold","n":16,"t":"5","beta":0.5,"engine":"kernel"})");
+        R"({"op":"threshold","n":16,"t":"5","beta":0.5,"engine":"mc","trials":6000000})");
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   std::vector<std::string> replies(4);

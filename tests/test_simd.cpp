@@ -224,6 +224,30 @@ TEST(SimdParity, BatchWalkMixedPointSizesDegradeToScalarRuns) {
   expect_batch_parity(points, 1.25);
 }
 
+TEST(SimdParity, BatchWalkMixedConstantAndGeneralRuns) {
+  // A run takes the per-size path only when EVERY point is constant by bit
+  // pattern; one non-constant point sends the whole run through the general
+  // walk. {0.0, −0.0, 0.0} compares equal but is not bit-constant, while
+  // {−0.0, −0.0, −0.0} is. Every mix must equal single-point calls bitwise.
+  prob::Rng rng{2718};
+  std::vector<std::vector<double>> mixed;
+  for (std::size_t k = 0; k < 21; ++k) {
+    if (k % 7 == 6) {
+      std::vector<double> p(8);
+      for (double& v : p) v = rng.uniform();
+      mixed.push_back(std::move(p));
+    } else {
+      mixed.push_back(std::vector<double>(8, static_cast<double>(k) / 20.0));
+    }
+  }
+  expect_batch_parity(mixed, 8.0 / 3.0);
+  const std::vector<std::vector<double>> zeros{
+      {0.0, -0.0, 0.0}, {-0.0, -0.0, -0.0}, {0.0, 0.0, 0.0}, {0.25, 0.25, 0.25}};
+  expect_batch_parity(zeros, 1.0);
+  expect_batch_parity({zeros[0]}, 1.0);
+  expect_batch_parity({zeros[1], zeros[2], zeros[3]}, 1.0);
+}
+
 TEST(SimdParity, BatchWalkAcceptanceInstance) {
   // The n = 12, t = 4 CLI acceptance instance
   // (`ddm_cli sweep 12 4 0 1 10000 --engine=batch`).
@@ -356,6 +380,34 @@ TEST_F(SimdMetrics, GaugeReportsDispatchedWidthNotCompiledWidth) {
       EXPECT_EQ(lanes->counter_value, (16 - 16 % w) + (13 - 13 % w));
     }
   }
+}
+
+TEST_F(SimdMetrics, SubsetsVisitedCountsTheWalkActuallyRun) {
+  // Constant points walk one bracket pair per size, 2·(2^(n+1) − 1) subsets;
+  // anything else walks one pair per decision vector, 2·3^n subsets. A batch
+  // counts once per amortized run, whatever its point count.
+  const auto subsets_after = [](const auto& evaluate) {
+    obs::Registry::instance().reset();
+    evaluate();
+    const auto samples = obs::Registry::instance().scrape();
+    const obs::MetricSample* visited = find(samples, "kernel.subsets_visited");
+    return visited == nullptr ? std::uint64_t{0} : visited->counter_value;
+  };
+  const std::vector<double> constant(12, 0.4);
+  EXPECT_EQ(subsets_after([&] { (void)core::threshold_winning_probability(constant, 4.0); }),
+            2u * ((1u << 13) - 1));
+  const std::vector<double> general{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  EXPECT_EQ(subsets_after([&] { (void)core::threshold_winning_probability(general, 2.0); }),
+            2u * 729u);
+  const std::vector<std::vector<double>> constant_run(5, std::vector<double>(8, 0.3));
+  EXPECT_EQ(subsets_after([&] {
+              (void)core::threshold_winning_probability_batch(constant_run, 8.0 / 3.0);
+            }),
+            2u * ((1u << 9) - 1));
+  const std::vector<std::vector<double>> mixed_run{
+      std::vector<double>(6, 0.3), general, std::vector<double>(6, 0.7)};
+  EXPECT_EQ(subsets_after([&] { (void)core::threshold_winning_probability_batch(mixed_run, 2.0); }),
+            2u * 729u);
 }
 
 TEST_F(SimdMetrics, CompiledEvalGridReportsDispatchedWidth) {
