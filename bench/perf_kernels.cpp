@@ -442,13 +442,12 @@ std::vector<std::vector<double>> amortized_grid(std::size_t n, std::size_t grid)
   return points;
 }
 
-// One amortized subset walk per block of kThresholdBatchBlock points versus
-// the per-point loop (BM_ThresholdBatchSerial): the walk's sign/subset-sum
-// bookkeeping is hoisted to per-subset state, so per-point cost falls toward
-// the SoA inner-update cost as the block fills.
+// The batch kernel at width 1, where every point runs the serial walk a
+// single-point call runs: the scalar per-point cost that the vector lanes of
+// BM_BatchAmortizedSimd are measured against.
 void BM_BatchAmortized(benchmark::State& state) {
-  // Pinned to the scalar subset walk — the BM_BatchAmortizedSimd denominator
-  // (see BM_SweepCompiled for the rationale).
+  // Pinned to width 1 — the BM_BatchAmortizedSimd denominator (see
+  // BM_SweepCompiled for the rationale).
   const ddm::util::simd::ScopedForceWidth force_scalar{1};
   const std::size_t n = 10;
   const std::size_t grid = static_cast<std::size_t>(state.range(0));

@@ -7,7 +7,9 @@
 #   * every accepted DDM_SIMD value (off, scalar, native, avx2, neon, unset)
 #     produces BYTE-IDENTICAL output on both vectorized engines — the packs
 #     replicate the scalar op sequence per lane, so width is unobservable in
-#     the numbers;
+#     the numbers — and on `kernel`, whose single-point walk runs at width 1
+#     whatever DDM_SIMD says;
+#   * `kernel` and `batch` drive the same walk, so their output is equal;
 #   * a malformed value is rejected with exit 2 naming the variable;
 #   * --metrics reports the width actually dispatched: 1 under off/scalar,
 #     and identical to the unset/native width otherwise-or-smaller (clamped
@@ -31,15 +33,18 @@ dispatched_width() {
     | awk '$1 == "engine.simd_width" { print $2 }'
 }
 
-for ENGINE in batch compiled; do
+# Byte identity across every accepted mode.
+for ENGINE in batch compiled kernel; do
   ref="$("$CLI" sweep 12 4 0 1 64 --engine="$ENGINE")"
-
-  # Byte identity across every accepted mode.
   for mode in off scalar native avx2 neon; do
     out="$(env DDM_SIMD="$mode" "$CLI" sweep 12 4 0 1 64 --engine="$ENGINE")"
     [ "$ref" = "$out" ] || fail "engine=$ENGINE DDM_SIMD=$mode output differs from default"
   done
+done
+[ "$("$CLI" sweep 12 4 0 1 64 --engine=kernel)" = "$("$CLI" sweep 12 4 0 1 64 --engine=batch)" ] \
+  || fail "engine=kernel output differs from engine=batch"
 
+for ENGINE in batch compiled; do
   # Malformed values: exit 2, stderr names the variable.
   for bad in bogus OFF avx512 2 ""; do
     rc=0

@@ -7,8 +7,8 @@
 namespace ddm::core::detail {
 
 void subset_walk_avx512(const double* deltas, std::size_t sz, std::size_t count,
-                        std::uint32_t exponent, BatchWorkspace& ws) {
-  subset_walk_pack<util::simd::Pack<8>>(deltas, sz, count, exponent, ws);
+                        std::uint32_t exponent, const WalkState& state) {
+  subset_walk_pack<util::simd::Pack<8>>(deltas, sz, count, exponent, state);
 }
 
 }  // namespace ddm::core::detail

@@ -26,9 +26,10 @@ using util::Rational;
 namespace {
 
 // Kernel metrics (docs/observability.md). subsets_visited counts Gray-code
-// subset evaluations (2·3^n per general-kernel call); kahan_compensation
-// records the absolute compensation a bracket accumulated — the live
-// cancellation-severity signal behind the certified ladder's tier-0 bound.
+// subset evaluations (per walk: 2·3^n, or 2·(2^(n+1) − 1) per size for
+// constant points); kahan_compensation records the absolute compensation a
+// bracket accumulated — the live cancellation-severity signal behind the
+// certified ladder's tier-0 bound.
 struct KernelMetrics {
   obs::Counter gray_calls = obs::counter("kernel.gray_calls");
   obs::Counter symmetric_calls = obs::counter("kernel.symmetric_calls");
@@ -40,33 +41,6 @@ struct KernelMetrics {
     return metrics;
   }
 };
-
-// 2·3^n: total Gray-code subset evaluations of one general-kernel call
-// (each outer assignment with m zeros and k ones walks 2^m + 2^k subsets;
-// Σ_b 2^m + 2^k = 2·3^n). n <= 20, so this fits comfortably in 64 bits.
-std::uint64_t general_kernel_subsets(std::size_t n) noexcept {
-  std::uint64_t p = 1;
-  for (std::size_t i = 0; i < n; ++i) p *= 3;
-  return 2 * p;
-}
-
-// 2·(2^(n+1) − 1): subset evaluations of the per-size path, which walks one
-// zeros and one ones bracket per size s = 0..n (Σ_s 2^s + 2^s).
-std::uint64_t per_size_kernel_subsets(std::size_t n) noexcept {
-  return 2 * ((std::uint64_t{2} << n) - 1);
-}
-
-// True when every coordinate carries a[0]'s bit pattern (so 0.0 and −0.0
-// differ). Then a Theorem 5.1 bracket over any s players sees the same delta
-// sequence in the same Gray order, whichever players they are, and yields
-// the same bits: each bracket value depends on its size alone (Section 5.2),
-// and the kernels evaluate it once per size instead of once per decision
-// vector (docs/performance.md §1.5).
-bool constant_point(std::span<const double> a) noexcept {
-  const auto bits = std::bit_cast<std::uint64_t>(a.front());
-  return std::all_of(a.begin() + 1, a.end(),
-                     [bits](double x) { return std::bit_cast<std::uint64_t>(x) == bits; });
-}
 
 // Splits players 0..n−1 by decision vector b: bit i set puts player i in bin 1.
 void split_players(std::uint64_t b, std::size_t n, std::vector<std::size_t>& zeros,
@@ -186,108 +160,15 @@ Rational threshold_winning_probability(std::span<const Rational> a, const Ration
   return total;
 }
 
-double threshold_winning_probability(std::span<const double> a, double t) {
-  if (a.empty()) throw std::invalid_argument("threshold_winning_probability: need >= 1 player");
-  if (a.size() > 20) {
-    throw std::invalid_argument("threshold_winning_probability: n too large for 3^n sum");
-  }
-  if (t <= 0.0) return 0.0;
-  const std::size_t n = a.size();
-  const KernelMetrics& metrics = KernelMetrics::get();
-  DDM_SPAN("kernel.gray_ie", {{"n", static_cast<std::int64_t>(n)}});
-  metrics.gray_calls.add();
-  const bool per_size = constant_point(a);
-  if (obs::metrics_enabled()) {
-    metrics.subsets_visited.add(per_size ? per_size_kernel_subsets(n) : general_kernel_subsets(n));
-  }
-
-  // Gray-code brackets, mirroring the exact versions above: one running-sum
-  // update per subset and binary exponentiation instead of std::pow. The
-  // running base and the term accumulator carry Kahan compensation so 2^m
-  // incremental updates stay within a few ulps of fresh recomputation.
-  const auto zeros_bracket_d = [&](std::span<const std::size_t> zeros) {
-    const std::size_t m = zeros.size();
-    if (m == 0) return 1.0;
-    const auto mm = static_cast<std::uint32_t>(m);
-    util::KahanSum remainder{t};
-    std::uint64_t mask = 0;
-    util::KahanSum sum{combinat::pow_uint(t, mm)};  // I = ∅ (t > 0)
-    const std::uint64_t limit = std::uint64_t{1} << m;
-    for (std::uint64_t i = 1; i < limit; ++i) {
-      const std::uint32_t j = combinat::gray_flip_bit(i);
-      const std::uint64_t bit = std::uint64_t{1} << j;
-      mask ^= bit;
-      remainder.add((mask & bit) ? -a[zeros[j]] : a[zeros[j]]);
-      const double rem = remainder.get();
-      if (rem <= 0.0) continue;
-      const double term = combinat::pow_uint(rem, mm);
-      sum.add(combinat::gray_parity_odd(i) ? -term : term);
-    }
-    if (obs::metrics_enabled()) metrics.kahan_compensation.record(std::abs(sum.compensation));
-    return sum.get() * combinat::inverse_factorial_double(mm);
-  };
-  const auto ones_bracket_d = [&](std::span<const std::size_t> ones) {
-    const std::size_t k = ones.size();
-    if (k == 0) return 1.0;
-    const auto kk = static_cast<std::uint32_t>(k);
-    double product = 1.0;
-    for (const std::size_t idx : ones) product *= 1.0 - a[idx];
-    // base = k − t + Σ_{l∈I} (a_l − 1): adding player l to I covers both the
-    // +a_l and the −|I| bookkeeping in one update.
-    util::KahanSum base{static_cast<double>(k) - t};
-    std::uint64_t mask = 0;
-    util::KahanSum sum{base.get() > 0.0 ? combinat::pow_uint(base.get(), kk) : 0.0};
-    const std::uint64_t limit = std::uint64_t{1} << k;
-    for (std::uint64_t i = 1; i < limit; ++i) {
-      const std::uint32_t j = combinat::gray_flip_bit(i);
-      const std::uint64_t bit = std::uint64_t{1} << j;
-      mask ^= bit;
-      base.add((mask & bit) ? a[ones[j]] - 1.0 : 1.0 - a[ones[j]]);
-      const double b = base.get();
-      if (b <= 0.0) continue;
-      const double term = combinat::pow_uint(b, kk);
-      sum.add(combinat::gray_parity_odd(i) ? -term : term);
-    }
-    if (obs::metrics_enabled()) metrics.kahan_compensation.record(std::abs(sum.compensation));
-    return product - sum.get() * combinat::inverse_factorial_double(kk);
-  };
-
-  double total = 0.0;
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  if (per_size) {
-    // One bracket per size, then the general path's b-ordered sum.
-    std::vector<std::size_t> players(n);
-    std::iota(players.begin(), players.end(), std::size_t{0});
-    std::vector<double> zeros_by_size(n + 1);
-    std::vector<double> ones_by_size(n + 1);
-    for (std::size_t s = 0; s <= n; ++s) {
-      zeros_by_size[s] = zeros_bracket_d(std::span{players}.first(s));
-      ones_by_size[s] = ones_bracket_d(std::span{players}.first(s));
-    }
-    for (std::uint64_t b = 0; b < limit; ++b) {
-      const std::size_t k = combinat::popcount(b);
-      total += zeros_by_size[n - k] * ones_by_size[k];
-    }
-    return require_finite(total, "threshold_winning_probability: double result");
-  }
-  std::vector<std::size_t> zeros;
-  std::vector<std::size_t> ones;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    split_players(b, n, zeros, ones);
-    total += zeros_bracket_d(zeros) * ones_bracket_d(ones);
-  }
-  return require_finite(total, "threshold_winning_probability: double result");
-}
-
 namespace {
 
-// Batch-kernel metrics (docs/observability.md). `batch.subset_walks_amortized`
-// counts the per-point Gray walks the amortized evaluator did NOT have to run:
-// a run of P same-size points shares one walk, saving P − 1 of them.
+// Batch-driver metrics (docs/observability.md). `batch.subset_walks_amortized`
+// counts the per-point Gray walks the batch driver did NOT have to run: a
+// run of P same-size points shares one walk, saving P − 1 of them.
 // `engine.simd_width` reports the pack width the walk actually dispatched
 // (after DDM_SIMD, compiled widths, and CPU support — never the compiled
 // maximum), and `kernel.vector_lanes` counts the points that went through
-// full-width vector lanes (tail points run the pinned scalar path).
+// full-width vector lanes (tail points run the serial walk).
 struct BatchMetrics {
   obs::Counter points = obs::counter("batch.points");
   obs::Counter walks_amortized = obs::counter("batch.subset_walks_amortized");
@@ -300,154 +181,191 @@ struct BatchMetrics {
   }
 };
 
-using detail::BatchWorkspace;
+using detail::WalkState;
 
-// The amortized Gray-code subset walk, W points per lane (the generic
-// implementation and the bitwise-identity argument live in
-// core/batch_walk.hpp; the AVX2/AVX-512 instantiations in their own
-// translation units). `width` is the caller's util::simd::dispatch_width()
-// — resolved once per batch call so a malformed DDM_SIMD throws on the
-// calling thread, before any chunk runs.
+// Scratch for one run of the walk, reused across a thread's runs so neither
+// entry point allocates per call once warm.
+struct Workspace {
+  std::vector<double> coords;  // batch driver: transposed run coordinates, [i·P + p]
+  std::vector<double> deltas;  // per-member base increments for the current walk, [j·P + p]
+  std::vector<double> rs, rc;  // running-base Kahan state (sum, compensation)
+  std::vector<double> ss, sc;  // bracket-accumulator Kahan state
+  std::vector<double> zres;    // zeros-bracket value per point
+  std::vector<double> ores;    // ones-bracket value per point
+  std::vector<double> zeros_by_size;  // per-size path: zeros bracket, [s·P + p]
+  std::vector<double> ones_by_size;   // per-size path: ones bracket, [s·P + p]
+  std::vector<double> total;
+  std::vector<std::size_t> zeros, ones;  // the current bracket members
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+// Points of a run that advance in full-width vector lanes; the other
+// count % width run the serial walk. 0 at width 1.
+std::size_t vector_points(std::size_t count, int width) {
+  return width > 1 ? count - count % static_cast<std::size_t>(width) : 0;
+}
+
+// The vector lanes of one bracket walk over the first vector_points(count,
+// width) points (core/batch_walk.hpp; the AVX2 and AVX-512 instantiations sit
+// in their own translation units). `width` comes from
+// util::simd::dispatch_width(), which only returns compiled widths.
 void subset_walk(const double* deltas, std::size_t sz, std::size_t count, std::uint32_t exponent,
-                 BatchWorkspace& ws, int width) {
+                 const WalkState& state, int width) {
   switch (width) {
 #if defined(DDM_SIMD_COMPILED_AVX512)
     case 8:
-      detail::subset_walk_avx512(deltas, sz, count, exponent, ws);
+      detail::subset_walk_avx512(deltas, sz, count, exponent, state);
       return;
 #endif
 #if defined(DDM_SIMD_COMPILED_AVX2)
     case 4:
-      detail::subset_walk_avx2(deltas, sz, count, exponent, ws);
+      detail::subset_walk_avx2(deltas, sz, count, exponent, state);
       return;
 #endif
 #if defined(DDM_SIMD_HAS_SSE2) || defined(DDM_SIMD_HAS_NEON)
     case 2:
-      detail::subset_walk_pack<util::simd::Pack<2>>(deltas, sz, count, exponent, ws);
+      detail::subset_walk_pack<util::simd::Pack<2>>(deltas, sz, count, exponent, state);
       return;
 #endif
     default:
-      detail::subset_walk_pack<util::simd::Pack<1>>(deltas, sz, count, exponent, ws);
       return;
   }
 }
 
-void record_compensation(const BatchWorkspace& ws, std::size_t count) {
-  if (!obs::metrics_enabled()) return;
-  const KernelMetrics& metrics = KernelMetrics::get();
-  for (std::size_t p = 0; p < count; ++p) metrics.kahan_compensation.record(std::abs(ws.sc[p]));
+// The serial walk: one point's whole reflected-Gray walk over `sz` members,
+// its Kahan state in registers from the bracket's I = ∅ values (base0,
+// init) on. `deltas` is the run's matrix offset to the point's column
+// (stride `count`). Per point it runs the op sequence of one lane of
+// subset_walk_pack; where a lane adds the clamped ±0.0 term of an
+// infeasible subset, this loop skips the subset, which leaves the
+// accumulator bitwise the same (core/batch_walk.hpp). It evaluates every
+// bracket of a single point and the count % W rest of a batch run, and
+// returns the bracket accumulator.
+util::KahanSum serial_walk(const double* deltas, std::size_t sz, std::size_t count,
+                           std::uint32_t exponent, double base0, double init) {
+  util::KahanSum base{base0};
+  util::KahanSum sum{init};
+  const std::uint64_t limit = std::uint64_t{1} << sz;
+  std::uint64_t mask = 0;
+  for (std::uint64_t i = 1; i < limit; ++i) {
+    const std::uint32_t j = combinat::gray_flip_bit(i);
+    const std::uint64_t bit = std::uint64_t{1} << j;
+    mask ^= bit;
+    const double delta = deltas[j * count];
+    base.add((mask & bit) ? delta : -delta);
+    const double b = base.get();
+    if (b <= 0.0) continue;
+    const double term = combinat::pow_uint(b, exponent);
+    sum.add(combinat::gray_parity_odd(i) ? -term : term);
+  }
+  return sum;
 }
 
-// Zeros bracket over the players in `zeros` for every point of the run,
-// written to out[p]. The base tracks t − Σ_{l∈I} a_l, so entering adds −a_l.
-void zeros_bracket_run(std::span<const std::size_t> zeros, std::size_t count, double t,
-                       double* out, BatchWorkspace& ws, int width) {
-  const std::size_t m = zeros.size();
-  if (m == 0) {
+// One Theorem 5.1 bracket over the players in `members` for every point of
+// the run, written to out[p]. The zeros bracket tracks the base
+// t − Σ_{l∈I} a_l (entering adds −a_l) and is (1/m!)·S; the ones bracket
+// tracks k − t + Σ_{l∈I} (a_l − 1) (entering adds a_l − 1, covering both the
+// +a_l and the −|I| bookkeeping in one update) and is Π (1 − a_l) − (1/k!)·S.
+// The walk's per-bracket compensation is the one metric recorded here: only
+// the walk sees it.
+void bracket_run(bool ones, std::span<const std::size_t> members, const double* coords,
+                 std::size_t count, double t, double* out, Workspace& ws, int width) {
+  const std::size_t m = members.size();
+  if (m == 0) {  // empty bin never overflows (t > 0)
     std::fill_n(out, count, 1.0);
     return;
   }
   const auto mm = static_cast<std::uint32_t>(m);
-  const double init = combinat::pow_uint(t, mm);  // I = ∅ (t > 0)
-  for (std::size_t p = 0; p < count; ++p) {
-    ws.rs[p] = t;
-    ws.rc[p] = 0.0;
-    ws.ss[p] = init;
-    ws.sc[p] = 0.0;
-  }
+  double* deltas = ws.deltas.data();
   for (std::size_t j = 0; j < m; ++j) {
-    const double* col = ws.coords.data() + zeros[j] * count;
-    for (std::size_t p = 0; p < count; ++p) ws.deltas[j * count + p] = -col[p];
-  }
-  subset_walk(ws.deltas.data(), m, count, mm, ws, width);
-  record_compensation(ws, count);
-  const double inv_fact = combinat::inverse_factorial_double(mm);
-  for (std::size_t p = 0; p < count; ++p) out[p] = (ws.ss[p] + ws.sc[p]) * inv_fact;
-}
-
-// Ones bracket over the players in `ones` for every point of the run, written
-// to out[p]. The base tracks k − t + Σ_{l∈I} (a_l − 1), entering adds a_l − 1.
-void ones_bracket_run(std::span<const std::size_t> ones, std::size_t count, double t,
-                      double* out, BatchWorkspace& ws, int width) {
-  const std::size_t k = ones.size();
-  if (k == 0) {
-    std::fill_n(out, count, 1.0);
-    return;
-  }
-  const auto kk = static_cast<std::uint32_t>(k);
-  std::fill(ws.prod.begin(), ws.prod.end(), 1.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    const double* col = ws.coords.data() + ones[j] * count;
+    const double* col = coords + members[j] * count;
     for (std::size_t p = 0; p < count; ++p) {
-      ws.prod[p] *= 1.0 - col[p];
-      ws.deltas[j * count + p] = col[p] - 1.0;
+      deltas[j * count + p] = ones ? col[p] - 1.0 : -col[p];
     }
   }
-  const double base0 = static_cast<double>(k) - t;
-  const double init = base0 > 0.0 ? combinat::pow_uint(base0, kk) : 0.0;
-  for (std::size_t p = 0; p < count; ++p) {
-    ws.rs[p] = base0;
-    ws.rc[p] = 0.0;
-    ws.ss[p] = init;
-    ws.sc[p] = 0.0;
+  const double base0 = ones ? static_cast<double>(m) - t : t;  // I = ∅
+  const double init = base0 > 0.0 ? combinat::pow_uint(base0, mm) : 0.0;
+  const WalkState state{ws.rs.data(), ws.rc.data(), ws.ss.data(), ws.sc.data()};
+  const std::size_t lanes = vector_points(count, width);
+  if (lanes > 0) {
+    for (std::size_t p = 0; p < lanes; ++p) {
+      state.rs[p] = base0;
+      state.rc[p] = 0.0;
+      state.ss[p] = init;
+      state.sc[p] = 0.0;
+    }
+    subset_walk(deltas, m, count, mm, state, width);
   }
-  subset_walk(ws.deltas.data(), k, count, kk, ws, width);
-  record_compensation(ws, count);
-  const double inv_fact = combinat::inverse_factorial_double(kk);
+  for (std::size_t p = lanes; p < count; ++p) {
+    const util::KahanSum sum = serial_walk(deltas + p, m, count, mm, base0, init);
+    state.ss[p] = sum.sum;
+    state.sc[p] = sum.compensation;
+  }
+  const double inv_fact = combinat::inverse_factorial_double(mm);
+  const bool record = obs::metrics_enabled();
   for (std::size_t p = 0; p < count; ++p) {
-    out[p] = ws.prod[p] - (ws.ss[p] + ws.sc[p]) * inv_fact;
+    if (record) KernelMetrics::get().kahan_compensation.record(std::abs(state.sc[p]));
+    const double sum = (state.ss[p] + state.sc[p]) * inv_fact;
+    if (!ones) {
+      out[p] = sum;
+      continue;
+    }
+    double product = 1.0;
+    for (std::size_t j = 0; j < m; ++j) product *= 1.0 - coords[members[j] * count + p];
+    out[p] = product - sum;
   }
 }
 
-// Evaluates Theorem 5.1 for a run of `count` points of equal size n sharing
-// one Gray-code subset walk per bracket, writing out[p] bitwise equal to
-// threshold_winning_probability(points[first + p], t). When every point of
-// the run is constant the brackets depend on their size alone, so the run
-// walks one zeros and one ones bracket per size instead of per decision
-// vector, then sums in the same b order.
-void amortized_run(std::span<const std::vector<double>> points, std::size_t first,
-                   std::size_t count, double t, std::span<double> out, BatchWorkspace& ws,
-                   int width) {
-  const std::size_t n = points[first].size();
-  const auto run = points.subspan(first, count);
-  const bool per_size = std::all_of(run.begin(), run.end(), [](const std::vector<double>& point) {
-    return constant_point(point);
-  });
-  DDM_SPAN("kernel.batch_walk", {{"n", static_cast<std::int64_t>(n)},
-                                 {"points", static_cast<std::int64_t>(count)}});
-  const KernelMetrics& kernel_metrics = KernelMetrics::get();
-  const BatchMetrics& batch_metrics = BatchMetrics::get();
-  batch_metrics.points.add(count);
-  batch_metrics.walks_amortized.add(count - 1);
-  if (obs::metrics_enabled()) {
-    kernel_metrics.subsets_visited.add(per_size ? per_size_kernel_subsets(n)
-                                                : general_kernel_subsets(n));
-    batch_metrics.simd_width.set(width);
-    if (width > 1) {
-      batch_metrics.vector_lanes.add(count - count % static_cast<std::size_t>(width));
-    }
+// True when every coordinate of point p carries the same bit pattern (so 0.0
+// and −0.0 differ). Then a bracket over any s players sees the same delta
+// sequence in the same Gray order, whichever players they are, and yields
+// the same bits: each bracket value depends on its size alone (Section 5.2),
+// and the run evaluates it once per size instead of once per decision
+// vector (docs/performance.md §1.5).
+bool constant_point(const double* coords, std::size_t n, std::size_t count, std::size_t p) {
+  const auto bits = std::bit_cast<std::uint64_t>(coords[p]);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (std::bit_cast<std::uint64_t>(coords[i * count + p]) != bits) return false;
   }
+  return true;
+}
 
-  ws.coords.resize(n * count);
-  for (std::size_t p = 0; p < count; ++p) {
-    for (std::size_t i = 0; i < n; ++i) ws.coords[i * count + p] = run[p][i];
-  }
+// The double Theorem 5.1 walk: evaluates a run of `count` points of size n,
+// given as the n × count matrix `coords` ([i·count + p]), and writes
+// out[p]. Each bracket is one Gray-code subset walk shared by the run:
+// full-width vector lanes for the first count − count % width points, the
+// serial walk for the rest — so width 1 is the plain per-point loop. When
+// every point is constant the run walks one zeros and one ones bracket per
+// size, else one pair per decision vector; the sum over b is in the same
+// order either way. Returns the subsets one walk visited: 2·(2^(n+1) − 1)
+// per size, 2·3^n per decision vector. Opens no span and counts nothing
+// but the compensation histogram (bracket_run); the two entry points own
+// their metrics.
+std::uint64_t amortized_run(const double* coords, std::size_t n, std::size_t count, double t,
+                            double* out, Workspace& ws, int width) {
   ws.deltas.resize(n * count);
-  for (auto* buf : {&ws.rs, &ws.rc, &ws.ss, &ws.sc, &ws.prod, &ws.zres, &ws.ores, &ws.total}) {
+  for (auto* buf : {&ws.rs, &ws.rc, &ws.ss, &ws.sc, &ws.zres, &ws.ores, &ws.total}) {
     buf->resize(count);
   }
   std::fill(ws.total.begin(), ws.total.end(), 0.0);
+  bool per_size = true;
+  for (std::size_t p = 0; p < count && per_size; ++p) per_size = constant_point(coords, n, count, p);
 
   const std::uint64_t limit = std::uint64_t{1} << n;
+  std::uint64_t subsets = 0;
   if (per_size) {
     ws.zeros_by_size.resize((n + 1) * count);
     ws.ones_by_size.resize((n + 1) * count);
-    std::vector<std::size_t> players(n);
-    std::iota(players.begin(), players.end(), std::size_t{0});
+    ws.zeros.resize(n);
+    std::iota(ws.zeros.begin(), ws.zeros.end(), std::size_t{0});
     for (std::size_t s = 0; s <= n; ++s) {
-      const auto members = std::span<const std::size_t>{players}.first(s);
-      zeros_bracket_run(members, count, t, ws.zeros_by_size.data() + s * count, ws, width);
-      ones_bracket_run(members, count, t, ws.ones_by_size.data() + s * count, ws, width);
+      const auto members = std::span<const std::size_t>{ws.zeros}.first(s);
+      bracket_run(false, members, coords, count, t, ws.zeros_by_size.data() + s * count, ws, width);
+      bracket_run(true, members, coords, count, t, ws.ones_by_size.data() + s * count, ws, width);
     }
     for (std::uint64_t b = 0; b < limit; ++b) {
       const std::size_t k = combinat::popcount(b);
@@ -455,25 +373,72 @@ void amortized_run(std::span<const std::vector<double>> points, std::size_t firs
       const double* ores = ws.ones_by_size.data() + k * count;
       for (std::size_t p = 0; p < count; ++p) ws.total[p] += zres[p] * ores[p];
     }
+    subsets = 2 * ((std::uint64_t{2} << n) - 1);
   } else {
-    std::vector<std::size_t> zeros;
-    std::vector<std::size_t> ones;
-    zeros.reserve(n);
-    ones.reserve(n);
     for (std::uint64_t b = 0; b < limit; ++b) {
-      split_players(b, n, zeros, ones);
-      zeros_bracket_run(zeros, count, t, ws.zres.data(), ws, width);
-      ones_bracket_run(ones, count, t, ws.ores.data(), ws, width);
+      split_players(b, n, ws.zeros, ws.ones);
+      bracket_run(false, ws.zeros, coords, count, t, ws.zres.data(), ws, width);
+      bracket_run(true, ws.ones, coords, count, t, ws.ores.data(), ws, width);
       for (std::size_t p = 0; p < count; ++p) ws.total[p] += ws.zres[p] * ws.ores[p];
     }
+    subsets = 2;
+    for (std::size_t i = 0; i < n; ++i) subsets *= 3;
   }
 
   for (std::size_t p = 0; p < count; ++p) {
     out[p] = require_finite(ws.total[p], "threshold_winning_probability: double result");
   }
+  return subsets;
+}
+
+// The batch driver's step for one run of equal-size points: its span and
+// metrics, the coordinate transpose, and one walk at the dispatched width.
+void batch_run(std::span<const std::vector<double>> run, double t, double* out, Workspace& ws,
+               int width) {
+  const std::size_t n = run.front().size();
+  const std::size_t count = run.size();
+  DDM_SPAN("kernel.batch_walk", {{"n", static_cast<std::int64_t>(n)},
+                                 {"points", static_cast<std::int64_t>(count)}});
+  const BatchMetrics& batch_metrics = BatchMetrics::get();
+  batch_metrics.points.add(count);
+  batch_metrics.walks_amortized.add(count - 1);
+  ws.coords.resize(n * count);
+  for (std::size_t p = 0; p < count; ++p) {
+    for (std::size_t i = 0; i < n; ++i) ws.coords[i * count + p] = run[p][i];
+  }
+  const std::uint64_t subsets = amortized_run(ws.coords.data(), n, count, t, out, ws, width);
+  if (obs::metrics_enabled()) {
+    KernelMetrics::get().subsets_visited.add(subsets);
+    batch_metrics.simd_width.set(width);
+    batch_metrics.vector_lanes.add(vector_points(count, width));
+  }
+}
+
+// Both entry points throw on a bad size before looking at t, with the same
+// messages.
+void check_point_size(std::size_t n) {
+  if (n == 0) throw std::invalid_argument("threshold_winning_probability: need >= 1 player");
+  if (n > kThresholdKernelMaxN) {
+    throw std::invalid_argument("threshold_winning_probability: n too large for 3^n sum");
+  }
 }
 
 }  // namespace
+
+double threshold_winning_probability(std::span<const double> a, double t) {
+  check_point_size(a.size());
+  if (t <= 0.0) return 0.0;
+  const std::size_t n = a.size();
+  const KernelMetrics& metrics = KernelMetrics::get();
+  DDM_SPAN("kernel.gray_ie", {{"n", static_cast<std::int64_t>(n)}});
+  metrics.gray_calls.add();
+  // One point is its own n × 1 coordinate matrix. Width 1, whatever DDM_SIMD
+  // says: every bracket runs the serial walk.
+  double value = 0.0;
+  const std::uint64_t subsets = amortized_run(a.data(), n, 1, t, &value, workspace(), 1);
+  if (obs::metrics_enabled()) metrics.subsets_visited.add(subsets);
+  return value;
+}
 
 std::vector<double> threshold_winning_probability_batch(
     std::span<const std::vector<double>> points, double t, const util::RunControl& control) {
@@ -481,14 +446,7 @@ std::vector<double> threshold_winning_probability_batch(
   // Validate every point up front, in index order, with the single-point
   // evaluator's exact messages — the batch throws like a sequential loop
   // would, independent of how chunks land on threads.
-  for (const std::vector<double>& point : points) {
-    if (point.empty()) {
-      throw std::invalid_argument("threshold_winning_probability: need >= 1 player");
-    }
-    if (point.size() > 20) {
-      throw std::invalid_argument("threshold_winning_probability: n too large for 3^n sum");
-    }
-  }
+  for (const std::vector<double>& point : points) check_point_size(point.size());
   std::vector<double> values(points.size(), 0.0);
   if (t <= 0.0) return values;  // mirrors the single-point evaluator
   // Resolve the SIMD dispatch width up front, on the calling thread: a
@@ -496,7 +454,7 @@ std::vector<double> threshold_winning_probability_batch(
   // any chunk is scheduled, and every chunk then walks at the same width.
   const int simd_width = util::simd::dispatch_width();
   // Chunks of kThresholdBatchBlock points share one Gray-code subset walk per
-  // run of equal-size points (amortized_run above); per point the arithmetic
+  // run of equal-size points (batch_run above); per point the arithmetic
   // is bitwise identical to a single-point call — at EVERY dispatch width,
   // because the vector lanes run across points with the serial op sequence
   // per lane (core/batch_walk.hpp) — so neither blocking nor parallelism nor
@@ -517,13 +475,12 @@ std::vector<double> threshold_winning_probability_batch(
   util::parallel_for(
       0, points.size(),
       [&](std::size_t lo, std::size_t hi) {
-        BatchWorkspace ws;
+        Workspace& ws = workspace();
         std::size_t idx = lo;
         while (idx < hi) {
           std::size_t end = idx + 1;
           while (end < hi && points[end].size() == points[idx].size()) ++end;
-          amortized_run(points, idx, end - idx, t,
-                        std::span<double>{values.data() + idx, end - idx}, ws, simd_width);
+          batch_run(points.subspan(idx, end - idx), t, values.data() + idx, ws, simd_width);
           idx = end;
         }
         // Chunk ordinal for fault directives: lo / kThresholdBatchBlock.

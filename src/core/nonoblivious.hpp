@@ -30,10 +30,14 @@ namespace ddm::core {
 [[nodiscard]] util::Rational threshold_winning_probability(std::span<const util::Rational> a,
                                                            const util::Rational& t);
 
+/// Largest n the double Theorem 5.1 walk accepts (O(3^n) subset steps).
+inline constexpr std::size_t kThresholdKernelMaxN = 20;
+
 /// Double-precision Theorem 5.1 for arbitrary thresholds (same O(3^n) sum).
 /// A constant point (every coordinate with the same bit pattern) walks each
 /// bracket once per size instead of once per decision vector, O(2^n), with
-/// the same bits (docs/performance.md §1.5).
+/// the same bits (docs/performance.md §1.5). This is a one-point run of the
+/// walk behind threshold_winning_probability_batch, at width 1.
 [[nodiscard]] double threshold_winning_probability(std::span<const double> a, double t);
 
 /// Points per parallel chunk of threshold_winning_probability_batch. One
@@ -47,12 +51,12 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
 /// (util::parallel_for). Within a block, each run of equal-size points shares
 /// ONE reflected-Gray-code subset walk per bracket (per bracket size when
 /// every point of the run is constant, per decision vector otherwise): the
-/// flip-bit / sign / subset bookkeeping is hoisted into per-subset state and only the
-/// per-point clamped-power + Kahan-accumulate arithmetic remains in the inner
-/// loop (structure-of-arrays, written to auto-vectorize). Per point the
-/// floating-point op sequence is exactly the serial evaluator's, so values[p]
-/// is bitwise equal to a single-point call — neither blocking nor parallelism
-/// ever changes results. Used by grid sweeps (`ddm_cli sweep`) and the probe
+/// flip-bit / sign / subset bookkeeping is hoisted into per-subset state and
+/// full SIMD-width groups of points advance in vector lanes; the remaining
+/// points run the serial walk a single-point call runs. Per point the
+/// floating-point op sequence is the same either way, so values[p] is
+/// bitwise equal to a single-point call by construction — neither blocking
+/// nor parallelism nor vectorization ever changes results. Used by grid sweeps (`ddm_cli sweep`) and the probe
 /// batches of `maximize_thresholds`. Validates all points up front in index
 /// order with the single-point evaluator's messages.
 /// `control` (util/resilience.hpp) is polled at block boundaries: a fired

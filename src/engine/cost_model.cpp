@@ -454,21 +454,16 @@ std::shared_ptr<CostModel> CostModel::calibrate(const CalibrationOptions& option
         try {
           double last_warmup = 0.0;
           for (unsigned w = 0; w < std::max(options.warmup, 1u); ++w) last_warmup = run_once();
-          double measured;
-          if (last_warmup > options.cell_budget_seconds) {
-            // Over budget already: the warmup run (which for a slow kernel
-            // IS steady state — there is no lowering to absorb) is the one
-            // sample this cell gets.
-            measured = last_warmup;
-          } else {
-            std::vector<double> samples;
-            samples.reserve(options.repeats);
-            for (unsigned r = 0; r < std::max(options.repeats, 1u); ++r) {
-              samples.push_back(run_once());
-            }
-            std::sort(samples.begin(), samples.end());
-            measured = samples[samples.size() / 2];
-          }
+          // Every cell times at least one run after the warmup, which may
+          // have been a plan lowering rather than steady state. An
+          // over-budget warmup gets one timed sample instead of `repeats`.
+          const unsigned runs =
+              last_warmup > options.cell_budget_seconds ? 1u : std::max(options.repeats, 1u);
+          std::vector<double> samples;
+          samples.reserve(runs);
+          for (unsigned r = 0; r < runs; ++r) samples.push_back(run_once());
+          std::sort(samples.begin(), samples.end());
+          const double measured = samples[samples.size() / 2];
           const double per_point = measured / static_cast<double>(batch);
           if (std::isfinite(per_point) && per_point > 0.0) {
             model->set_cell(engine_id, n, batch, per_point);

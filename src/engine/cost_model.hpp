@@ -85,9 +85,10 @@ struct CalibrationOptions {
   /// Unrecorded runs per cell before sampling (absorbs plan lowering, pool
   /// spin-up, and cache effects).
   unsigned warmup = 1;
-  /// When the warmup run alone exceeds this budget the cell records the
-  /// warmup sample and larger batches at the same n are extrapolated, so a
-  /// slow serial engine cannot stretch calibration into minutes.
+  /// When the warmup run alone exceeds this budget the cell records one
+  /// timed run after it instead of `repeats`, and larger batches at the same
+  /// n are extrapolated, so a slow serial engine cannot stretch calibration
+  /// into minutes.
   double cell_budget_seconds = 0.25;
 };
 

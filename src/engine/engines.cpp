@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/certified.hpp"
@@ -25,9 +26,6 @@
 namespace ddm::engine {
 
 namespace {
-
-/// The O(3^n) double kernels cap n at 20 (core/nonoblivious.cpp).
-constexpr std::uint32_t kKernelMaxN = 20;
 
 [[nodiscard]] std::uint32_t request_n(const EvalRequest& request) {
   if (request.is_symmetric()) return request.n;
@@ -171,78 +169,76 @@ class ExactEvaluator final : public Evaluator {
   }
 };
 
-/// kernel — the serial Gray-code double kernel, one O(3^n) inclusion-
-/// exclusion walk per point. Bitwise equal to `batch` point for point (the
-/// batch kernel's documented contract); registered separately so callers can
-/// pin the unamortized, single-threaded reference path.
-class KernelEvaluator final : public Evaluator {
+/// The two drivers of the double Theorem 5.1 walk (core/nonoblivious.cpp):
+/// one supports() predicate and one point construction, so `kernel` and
+/// `batch` differ only in how they drive the walk and are bitwise equal by
+/// construction.
+class GrayWalkEvaluator : public Evaluator {
  public:
-  std::string_view id() const noexcept override { return "kernel"; }
   Determinism determinism() const noexcept override { return Determinism::kDeterministic; }
-  std::string_view describe() const noexcept override {
-    return "serial Gray-code double kernel, O(3^n) per point (n <= 20, homogeneous only)";
-  }
   bool supports(const EvalRequest& request) const override {
     // The Gray-code walk hard-codes the U[0,1] two-bin game; generalized
     // scenarios are declined honestly so policy code routes around it.
     if (!request.scenario.is_default()) return false;
     const std::uint32_t n = request_n(request);
-    return n >= 1 && n <= kKernelMaxN;
+    return n >= 1 && n <= core::kThresholdKernelMaxN;
+  }
+
+ protected:
+  /// The request's threshold vectors. A symmetric grid expands each beta to
+  /// n equal thresholds in `storage` (points[k].assign(n, beta), as the
+  /// pre-engine sweep loop did — pinned byte-identical by golden tests);
+  /// general points pass through.
+  static std::span<const std::vector<double>> points(const EvalRequest& request,
+                                                     std::vector<std::vector<double>>& storage) {
+    if (!request.is_symmetric()) return request.points;
+    storage.resize(request.betas.size());
+    for (std::size_t k = 0; k < request.betas.size(); ++k) {
+      storage[k].assign(request.n, request.betas[k]);
+    }
+    return storage;
+  }
+};
+
+/// kernel — the walk driven serially, one single-point call per point on the
+/// calling thread, polling the request's control between points. Batch's
+/// degrade target when the thread pool itself fails.
+class KernelEvaluator final : public GrayWalkEvaluator {
+ public:
+  std::string_view id() const noexcept override { return "kernel"; }
+  std::string_view describe() const noexcept override {
+    return "serial Gray-code double kernel, O(3^n) per point (n <= 20, homogeneous only)";
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
     EvalOutcome outcome;
     outcome.engine_id = "kernel";
-    outcome.values.resize(request.size(), 0.0);
     const double t_d = request.t.to_double();
-    if (request.is_symmetric()) {
-      std::vector<double> point(request.n, 0.0);
-      for (std::size_t k = 0; k < request.betas.size(); ++k) {
-        throw_if_stopped(request, "engine.kernel", k);
-        point.assign(request.n, request.betas[k]);
-        outcome.values[k] = core::threshold_winning_probability(point, t_d);
-      }
-    } else {
-      for (std::size_t k = 0; k < request.points.size(); ++k) {
-        throw_if_stopped(request, "engine.kernel", k);
-        outcome.values[k] = core::threshold_winning_probability(request.points[k], t_d);
-      }
+    std::vector<std::vector<double>> storage;
+    const auto threshold_points = points(request, storage);
+    outcome.values.resize(threshold_points.size(), 0.0);
+    for (std::size_t k = 0; k < threshold_points.size(); ++k) {
+      throw_if_stopped(request, "engine.kernel", k);
+      outcome.values[k] = core::threshold_winning_probability(threshold_points[k], t_d);
     }
     return outcome;
   }
 };
 
-/// batch — the block-amortized parallel batch kernel: one Gray-code subset
-/// walk per run of same-size points within a block, fanned across the thread
-/// pool, bitwise equal to single-point calls. The universal fallback of the
-/// auto policy.
-class BatchEvaluator final : public Evaluator {
+/// batch — the walk driven in parallel chunks: one Gray-code subset walk per
+/// run of same-size points within a block, vector lanes across points,
+/// fanned across the thread pool. The universal fallback of the auto policy.
+class BatchEvaluator final : public GrayWalkEvaluator {
  public:
   std::string_view id() const noexcept override { return "batch"; }
-  Determinism determinism() const noexcept override { return Determinism::kDeterministic; }
   std::string_view describe() const noexcept override {
     return "block-amortized parallel Gray-code batch kernel (n <= 20, homogeneous only)";
-  }
-  bool supports(const EvalRequest& request) const override {
-    if (!request.scenario.is_default()) return false;
-    const std::uint32_t n = request_n(request);
-    return n >= 1 && n <= kKernelMaxN;
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
     EvalOutcome outcome;
     outcome.engine_id = "batch";
-    const double t_d = request.t.to_double();
-    if (request.is_symmetric()) {
-      // Point construction mirrors the pre-engine sweep loop exactly
-      // (points[k].assign(n, beta)) — pinned byte-identical by golden tests.
-      std::vector<std::vector<double>> points(request.betas.size());
-      for (std::size_t k = 0; k < request.betas.size(); ++k) {
-        points[k].assign(request.n, request.betas[k]);
-      }
-      outcome.values = core::threshold_winning_probability_batch(points, t_d, request.control);
-    } else {
-      outcome.values = core::threshold_winning_probability_batch(request.points, t_d,
-                                                                 request.control);
-    }
+    std::vector<std::vector<double>> storage;
+    outcome.values = core::threshold_winning_probability_batch(
+        points(request, storage), request.t.to_double(), request.control);
     return outcome;
   }
 };

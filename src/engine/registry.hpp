@@ -6,9 +6,11 @@
 //   id          determinism     backend
 //   ---------   -------------   ----------------------------------------------
 //   exact       deterministic   exact Rational Theorem 5.1 (O(n²) symmetric)
-//   kernel      deterministic   serial Gray-code double kernel, O(3^n)/point
-//   batch       deterministic   block-amortized parallel batch kernel
-//                               (bitwise equal to `kernel`, point for point)
+//   kernel      deterministic   double Gray-code Theorem 5.1 walk, one point
+//                               at a time on the calling thread
+//   batch       deterministic   the same walk in parallel blocks with SIMD
+//                               lanes (bitwise equal to `kernel` by
+//                               construction)
 //   compiled    deterministic   certified Horner plan via the LRU plan cache
 //   certified   certified       escalation ladder (rigorous enclosures)
 //   mc          randomized      seeded Monte Carlo estimation

@@ -130,7 +130,8 @@ struct Pack;
 
 /// Scalar "pack": the W = 1 fallback. Using it in the generic kernels
 /// reproduces the plain scalar loops exactly (it IS the pinned scalar tail
-/// path the wider kernels use for count % W trailing points).
+/// path the vector Horner kernel uses for its n % W trailing points; the
+/// subset walk's tail is its serial walk in core/nonoblivious.cpp).
 template <>
 struct Pack<1> {
   static constexpr std::size_t width = 1;

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -189,6 +190,32 @@ TEST_F(PolicyTest, ObserveCreatesRefinesAndDropsBadSamples) {
   model.observe("batch", 8, 256, -1.0);
   model.observe("batch", 8, 256, std::numeric_limits<double>::quiet_NaN());
   EXPECT_DOUBLE_EQ(model.predict("batch", 8, 256), refined);
+}
+
+// --- calibration -----------------------------------------------------------
+
+TEST_F(PolicyTest, CalibrationTimesARunAfterAnOverBudgetWarmup) {
+  // For `compiled` at an n whose plan is not cached, the warmup run IS the
+  // plan lowering. A budget below it must still leave the cell holding a
+  // steady-state run (a cached-plan evaluation), not the lowering.
+  const std::uint32_t n = 10;
+  const Rational t{10, 3};  // calibrate()'s t-regime, so the cell keys the same plan
+  PlanCache::instance().clear();
+  const auto start = std::chrono::steady_clock::now();
+  (void)PlanCache::instance().get_or_lower(n, t);
+  const double lowering =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  PlanCache::instance().clear();
+
+  CalibrationOptions options;
+  options.engines = {"compiled"};
+  options.ns = {n};
+  options.batches = {1};
+  options.cell_budget_seconds = 0.0;  // every warmup is over budget
+  const auto model = CostModel::calibrate(options);
+  const double cell = model->predict("compiled", n, 1);
+  ASSERT_TRUE(std::isfinite(cell));
+  EXPECT_LT(cell, lowering / 10.0) << "lowering took " << lowering << " s";
 }
 
 // --- rejection matrix ----------------------------------------------------

@@ -356,6 +356,34 @@ class SimdMetrics : public ::testing::Test {
     }
     return nullptr;
   }
+
+  // What one evaluation added to the walk's counters (0 when unregistered).
+  struct WalkCounters {
+    std::uint64_t subsets = 0;
+    std::uint64_t gray_calls = 0;
+    std::uint64_t batch_points = 0;
+    std::uint64_t walks_amortized = 0;
+    std::uint64_t vector_lanes = 0;
+    std::uint64_t compensations = 0;
+  };
+
+  template <class Evaluate>
+  static WalkCounters counters_after(const Evaluate& evaluate) {
+    obs::Registry::instance().reset();
+    evaluate();
+    const auto samples = obs::Registry::instance().scrape();
+    const auto counter = [&samples](std::string_view name) {
+      const obs::MetricSample* sample = find(samples, name);
+      return sample == nullptr ? std::uint64_t{0} : sample->counter_value;
+    };
+    const obs::MetricSample* compensation = find(samples, "kernel.kahan_compensation");
+    return {counter("kernel.subsets_visited"),
+            counter("kernel.gray_calls"),
+            counter("batch.points"),
+            counter("batch.subset_walks_amortized"),
+            counter("kernel.vector_lanes"),
+            compensation == nullptr ? 0 : compensation->histogram_count};
+  }
 };
 
 TEST_F(SimdMetrics, GaugeReportsDispatchedWidthNotCompiledWidth) {
@@ -386,13 +414,7 @@ TEST_F(SimdMetrics, SubsetsVisitedCountsTheWalkActuallyRun) {
   // Constant points walk one bracket pair per size, 2·(2^(n+1) − 1) subsets;
   // anything else walks one pair per decision vector, 2·3^n subsets. A batch
   // counts once per amortized run, whatever its point count.
-  const auto subsets_after = [](const auto& evaluate) {
-    obs::Registry::instance().reset();
-    evaluate();
-    const auto samples = obs::Registry::instance().scrape();
-    const obs::MetricSample* visited = find(samples, "kernel.subsets_visited");
-    return visited == nullptr ? std::uint64_t{0} : visited->counter_value;
-  };
+  const auto subsets_after = [](const auto& evaluate) { return counters_after(evaluate).subsets; };
   const std::vector<double> constant(12, 0.4);
   EXPECT_EQ(subsets_after([&] { (void)core::threshold_winning_probability(constant, 4.0); }),
             2u * ((1u << 13) - 1));
@@ -408,6 +430,44 @@ TEST_F(SimdMetrics, SubsetsVisitedCountsTheWalkActuallyRun) {
       std::vector<double>(6, 0.3), general, std::vector<double>(6, 0.7)};
   EXPECT_EQ(subsets_after([&] { (void)core::threshold_winning_probability_batch(mixed_run, 2.0); }),
             2u * 729u);
+}
+
+TEST_F(SimdMetrics, EntryPointsOwnTheirCountersAndShareTheCompensationRecords) {
+  // Both entry points run the same walk. The single-point call counts one
+  // kernel.gray_calls and nothing of the batch driver's; a batch call counts
+  // its points, saved walks and vector lanes and no gray call. Either way the
+  // walk records kernel.kahan_compensation once per point and non-empty
+  // bracket: 2·(2^n − 1) per point on the general walk (b = 0 and
+  // b = 2^n − 1 each have one empty bracket), 2n on the per-size path.
+  const std::vector<double> general{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  const std::vector<double> constant(8, 0.3);
+  const std::vector<std::vector<double>> general_run(5, general);
+  const std::vector<std::vector<double>> constant_run(3, constant);
+  for (const int width : available_widths()) {
+    ScopedForceWidth force{width};
+    for (const auto& [point, records] :
+         {std::pair{&general, 2u * 63u}, std::pair{&constant, 2u * 8u}}) {
+      const WalkCounters single =
+          counters_after([&] { (void)core::threshold_winning_probability(*point, 2.0); });
+      EXPECT_EQ(single.gray_calls, 1u) << width;
+      EXPECT_EQ(single.batch_points, 0u) << width;
+      EXPECT_EQ(single.walks_amortized, 0u) << width;
+      EXPECT_EQ(single.vector_lanes, 0u) << width;
+      EXPECT_EQ(single.compensations, records) << width;
+    }
+    for (const auto& [run, records] :
+         {std::pair{&general_run, 2u * 63u}, std::pair{&constant_run, 2u * 8u}}) {
+      const WalkCounters batch =
+          counters_after([&] { (void)core::threshold_winning_probability_batch(*run, 2.0); });
+      const std::size_t count = run->size();
+      EXPECT_EQ(batch.gray_calls, 0u) << width;
+      EXPECT_EQ(batch.batch_points, count) << width;
+      EXPECT_EQ(batch.walks_amortized, count - 1) << width;
+      EXPECT_EQ(batch.vector_lanes, width > 1 ? count - count % static_cast<std::size_t>(width) : 0)
+          << width;
+      EXPECT_EQ(batch.compensations, count * records) << width;
+    }
+  }
 }
 
 TEST_F(SimdMetrics, CompiledEvalGridReportsDispatchedWidth) {
