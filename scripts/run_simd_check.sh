@@ -10,7 +10,8 @@
 #     the numbers — and on `kernel`, whose single-point walk runs at width 1
 #     whatever DDM_SIMD says;
 #   * `kernel` and `batch` drive the same walk, so their output is equal;
-#   * a malformed value is rejected with exit 2 naming the variable;
+#   * a malformed value is rejected with exit 2 naming the variable, whatever
+#     the engine (ddm_cli resolves DDM_SIMD at startup);
 #   * --metrics reports the width actually dispatched: 1 under off/scalar,
 #     and identical to the unset/native width otherwise-or-smaller (clamped
 #     to what the binary and CPU support, never widened).
@@ -44,8 +45,9 @@ done
 [ "$("$CLI" sweep 12 4 0 1 64 --engine=kernel)" = "$("$CLI" sweep 12 4 0 1 64 --engine=batch)" ] \
   || fail "engine=kernel output differs from engine=batch"
 
-for ENGINE in batch compiled; do
-  # Malformed values: exit 2, stderr names the variable.
+# Malformed values: exit 2, stderr names the variable — on every engine,
+# since ddm_cli resolves DDM_SIMD at startup, not only where a walk reads it.
+for ENGINE in batch compiled kernel exact; do
   for bad in bogus OFF avx512 2 ""; do
     rc=0
     msg="$(env DDM_SIMD="$bad" "$CLI" sweep 12 4 0 1 64 --engine="$ENGINE" 2>&1)" && rc=0 || rc=$?
@@ -55,7 +57,9 @@ for ENGINE in batch compiled; do
       *) fail "engine=$ENGINE DDM_SIMD='$bad' rejection does not name the variable: $msg" ;;
     esac
   done
+done
 
+for ENGINE in batch compiled; do
   # Honest gauge: off/scalar dispatch width 1; native equals the unset
   # default; avx2/neon never exceed their requested widths.
   native="$(dispatched_width)"

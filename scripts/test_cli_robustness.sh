@@ -79,6 +79,11 @@ expect_reject "invalid --metrics format 'bogus'" "$CLI" threshold 3 1 0.5 --metr
 expect_reject "DDM_THREADS" env DDM_THREADS=abc "$CLI" sweep 3 1 0 1 4
 expect_reject "DDM_THREADS" env DDM_THREADS=0 "$CLI" sweep 3 1 0 1 4
 expect_reject "DDM_THREADS" env DDM_THREADS=1e9 "$CLI" sweep 3 1 0 1 4
+# DDM_SIMD is resolved at startup, so a malformed value is rejected on the
+# engines that never vectorize and on commands that never sweep.
+expect_reject "DDM_SIMD" env DDM_SIMD=bogus "$CLI" sweep 12 4 0 1 4 --engine=kernel
+expect_reject "DDM_SIMD" env DDM_SIMD=bogus "$CLI" sweep 12 4 0 1 4 --engine=exact
+expect_reject "DDM_SIMD" env DDM_SIMD=bogus "$CLI" threshold 3 1 0.5
 
 # DDM_SIMD (util/simd.hpp): the value set is closed and case-sensitive —
 # anything else is rejected up front with the variable named — and every
@@ -196,6 +201,7 @@ if [ -n "$SERVE" ]; then
   expect_reject "--policy-table" "$SERVE" --check-config --policy-table="$TMP/no_such_table"
   expect_reject "--policy-table" "$SERVE" --check-config --policy-table="$TMP/garbage.ddmpolicy"
   expect_reject "DDM_POLICY" env DDM_POLICY="$TMP/no_such_table" "$SERVE" --check-config
+  expect_reject "DDM_SIMD" env DDM_SIMD=bogus "$SERVE" --check-config
   cfg="$("$SERVE" --check-config --policy-table="$TMP/valid.ddmpolicy")" \
     || fail "ddm_serve --check-config rejected a valid policy table"
   case "$cfg" in

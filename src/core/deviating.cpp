@@ -2,8 +2,7 @@
 
 #include <string>
 
-#include "combinat/binomial.hpp"
-#include "prob/uniform_sum.hpp"
+#include "core/nonoblivious.hpp"
 #include "util/status.hpp"
 
 namespace ddm::core {
@@ -24,7 +23,23 @@ void check_instance(std::uint32_t n, std::uint32_t deviators, const Rational& be
   }
 }
 
+std::vector<PlayerClass> strategy_classes(std::uint32_t n, std::uint32_t deviators,
+                                          std::uint32_t bin0_deviators, const Rational& beta) {
+  // A deviator sent to bin 0 plays threshold 1, one sent to bin 1 threshold 0.
+  return {PlayerClass{n - deviators, beta, Rational{1}},
+          PlayerClass{bin0_deviators, Rational{1}, Rational{1}},
+          PlayerClass{deviators - bin0_deviators, Rational{0}, Rational{1}}};
+}
+
 }  // namespace
+
+double deviating_exact_cost(std::uint32_t n, std::uint32_t deviators) {
+  double cost = 0.0;
+  for (std::uint32_t j = 0; j <= deviators; ++j) {
+    cost += grouped_exact_cost(strategy_classes(n, deviators, j, Rational(1, 2)));
+  }
+  return cost;
+}
 
 Rational deviating_threshold_winning_probability(std::uint32_t n, std::uint32_t deviators,
                                                  std::uint32_t bin0_deviators,
@@ -35,44 +50,16 @@ Rational deviating_threshold_winning_probability(std::uint32_t n, std::uint32_t 
     throw Error(std::string(what) + ": bin0 deviators (" + std::to_string(bin0_deviators) +
                 ") must be <= deviators (" + std::to_string(deviators) + ")");
   }
-  if (n > kDeviatingMaxExactN) {
-    throw Error(std::string(what) + ": n too large for exact evaluation (n = " +
-                std::to_string(n) + " > " + std::to_string(kDeviatingMaxExactN) + ")");
-  }
-  if (t.signum() <= 0) return Rational{0};
-
-  const std::uint32_t followers = n - deviators;
-  const std::uint32_t j = bin0_deviators;
-  const Rational one_minus_beta = Rational{1} - beta;
-
-  // Condition on m, the number of followers in bin 0 (each independently
-  // with probability beta). Given m, bin 0 carries m inputs U[0, β] plus j
-  // deviator inputs U[0, 1]; bin 1 carries the remaining followers' inputs
-  // U[β, 1] (recentered by their β shift for Lemma 2.4) plus k − j deviator
-  // inputs U[0, 1].
-  Rational total{0};
-  std::vector<Rational> widths0;
-  std::vector<Rational> widths1;
-  for (std::uint32_t m = 0; m <= followers; ++m) {
-    const Rational weight = Rational{combinat::binomial(followers, m), util::BigInt{1}} *
-                            beta.pow(m) * one_minus_beta.pow(followers - m);
-    if (weight.is_zero()) continue;
-    widths0.assign(m, beta);
-    widths0.insert(widths0.end(), j, Rational{1});
-    const Rational f0 = prob::sum_uniform_cdf(widths0, t);
-    if (f0.is_zero()) continue;
-    const std::uint32_t bin1_followers = followers - m;
-    widths1.assign(bin1_followers, one_minus_beta);
-    widths1.insert(widths1.end(), deviators - j, Rational{1});
-    const Rational shift = beta * Rational{bin1_followers};
-    total += weight * f0 * prob::sum_uniform_cdf(widths1, t - shift);
-  }
-  return total;
+  const std::vector<PlayerClass> classes = strategy_classes(n, deviators, bin0_deviators, beta);
+  check_grouped_exact_cost(grouped_exact_cost(classes), what);
+  return grouped_threshold_winning_probability(classes, t);
 }
 
 Rational worst_case_deviating_winning_probability(std::uint32_t n, std::uint32_t deviators,
                                                   const Rational& beta, const Rational& t) {
-  check_instance(n, deviators, beta, "worst_case_deviating_winning_probability");
+  const char* what = "worst_case_deviating_winning_probability";
+  check_instance(n, deviators, beta, what);
+  check_grouped_exact_cost(deviating_exact_cost(n, deviators), what);
   Rational worst;
   bool first = true;
   for (std::uint32_t j = 0; j <= deviators; ++j) {

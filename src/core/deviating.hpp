@@ -10,16 +10,12 @@
 // collapses to j, the number of deviators sent to bin 0, and the worst case
 // is the minimum over j in {0..k}.
 //
-// For fixed j, conditioning on the number m of followers in bin 0:
-//
-//   P_j = Σ_m C(n−k, m) β^m (1−β)^{n−k−m}
-//           · P(Σ_m U[0,β] + Σ_j U[0,1] <= t)                      (bin 0)
-//           · P(Σ_{n−k−m} U[β,1] + Σ_{k−j} U[0,1] <= t)            (bin 1)
-//
-// both factors via Lemma 2.4 (prob/uniform_sum.hpp), the bin-1 load
-// recentered by its (n−k−m)·β shift. Exact Rational; the inclusion-exclusion
-// CDFs are O(2^n), so n is capped at kDeviatingMaxExactN (the heterogeneous
-// module's cap) — the Monte Carlo cross-check below covers larger n.
+// For fixed j the game is a Theorem 5.1 point: a deviator sent to bin 0
+// acts as a player with threshold 1, one sent to bin 1 as one with threshold
+// 0, so P_j is the class-grouped evaluator (core/nonoblivious.hpp) at three
+// classes (β^{n−k}, 1^j, 0^{k−j}): exact, O(n²) terms per j. The cost bound
+// kGroupedExactMaxCost keeps deviating:2 exact to n = 133; the Monte Carlo
+// cross-check below covers larger n.
 //
 // With k = 0 this reduces to Theorem 5.1 exactly; with β at the homogeneous
 // optimum it measures the protocol's robustness margin.
@@ -33,20 +29,20 @@
 
 namespace ddm::core {
 
-/// Largest n the exact deviating analysis accepts (the conditional CDFs are
-/// O(2^n) inclusion-exclusion sums — the same economics as
-/// core/heterogeneous.cpp, and the same cap).
-inline constexpr std::uint32_t kDeviatingMaxExactN = 14;
+/// The grouped_exact_cost of the exact worst case: its k + 1 three-class
+/// points summed, at an interior β (β ∈ {0, 1} only costs less).
+[[nodiscard]] double deviating_exact_cost(std::uint32_t n, std::uint32_t deviators);
 
 /// P(win) of the symmetric threshold-β protocol when exactly j of the k
 /// deviators choose bin 0 and the rest bin 1. Exact; throws ddm::Error when
-/// n == 0, k >= n, j > k, β outside [0, 1], or n > kDeviatingMaxExactN.
+/// n == 0, k >= n, j > k, β outside [0, 1], or the point's grouped cost
+/// exceeds kGroupedExactMaxCost.
 [[nodiscard]] util::Rational deviating_threshold_winning_probability(
     std::uint32_t n, std::uint32_t deviators, std::uint32_t bin0_deviators,
     const util::Rational& beta, const util::Rational& t);
 
 /// The adversarial worst case: min over j in {0..k} of the probability
-/// above. Same validation and cap.
+/// above. Same validation; the cost bound applies to deviating_exact_cost.
 [[nodiscard]] util::Rational worst_case_deviating_winning_probability(
     std::uint32_t n, std::uint32_t deviators, const util::Rational& beta,
     const util::Rational& t);

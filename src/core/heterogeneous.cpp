@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/nonoblivious.hpp"
 #include "prob/uniform_sum.hpp"
 #include "util/status.hpp"
 
@@ -22,10 +23,6 @@ void check_common(std::span<const Rational> first, std::span<const Rational> ran
     throw Error(std::string(what) + ": size mismatch (" + std::to_string(first.size()) +
                 " players, " + std::to_string(ranges.size()) + " ranges)");
   }
-  if (first.size() > 14) {
-    throw Error(std::string(what) + ": n too large for exact evaluation (n = " +
-                std::to_string(first.size()) + " > 14)");
-  }
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     if (ranges[i].signum() <= 0) {
       throw Error(std::string(what) + ": range " + std::to_string(i) + " must be > 0");
@@ -44,8 +41,12 @@ Rational heterogeneous_oblivious_winning_probability(std::span<const Rational> a
       throw Error("heterogeneous_oblivious_winning_probability: alpha outside [0, 1]");
     }
   }
-  if (t.signum() <= 0) return Rational{0};
   const std::size_t n = alpha.size();
+  if (n > 14) {
+    throw Error("heterogeneous_oblivious_winning_probability: n too large for exact "
+                "evaluation (n = " + std::to_string(n) + " > 14)");
+  }
+  if (t.signum() <= 0) return Rational{0};
 
   // Condition on the decision vector b (independent of inputs for oblivious
   // protocols); the two bins' loads are independent sums of U[0, c_i].
@@ -84,38 +85,10 @@ Rational heterogeneous_threshold_winning_probability(std::span<const Rational> t
                   " must lie in [0, range]");
     }
   }
-  if (t.signum() <= 0) return Rational{0};
-  const std::size_t n = thresholds.size();
-
-  // Condition on b: a 0-player's input is U[0, a_i] (weight a_i / c_i), a
-  // 1-player's input is U[a_i, c_i] = a_i + U[0, c_i − a_i] (weight
-  // (c_i − a_i)/c_i). Bin 1's load is recentered for Lemma 2.4.
-  Rational total{0};
-  std::vector<Rational> widths0;
-  std::vector<Rational> widths1;
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    Rational weight{1};
-    widths0.clear();
-    widths1.clear();
-    Rational shift1{0};
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        const Rational width = ranges[i] - thresholds[i];
-        weight *= width / ranges[i];
-        widths1.push_back(width);
-        shift1 += thresholds[i];
-      } else {
-        weight *= thresholds[i] / ranges[i];
-        widths0.push_back(thresholds[i]);
-      }
-    }
-    if (weight.is_zero()) continue;
-    const Rational f0 = prob::sum_uniform_cdf(widths0, t);
-    if (f0.is_zero()) continue;
-    total += weight * f0 * prob::sum_uniform_cdf(widths1, t - shift1);
-  }
-  return total;
+  const std::vector<PlayerClass> classes = group_players(thresholds, ranges);
+  check_grouped_exact_cost(grouped_exact_cost(classes),
+                           "heterogeneous_threshold_winning_probability");
+  return grouped_threshold_winning_probability(classes, t);
 }
 
 HeterogeneousSimResult estimate_heterogeneous_winning_probability(

@@ -25,8 +25,11 @@ namespace ddm::core {
     const util::Rational& t);
 
 /// Theorem 5.1 generalized: single-threshold protocol with thresholds
-/// a_i ∈ [0, ranges_i] and inputs x_i ~ U[0, ranges_i]. Exact; throws
-/// ddm::Error for n > 14 or invalid parameters.
+/// a_i ∈ [0, ranges_i] and inputs x_i ~ U[0, ranges_i]. Exact: players with
+/// equal (a_i, c_i) form one class of the grouped evaluator
+/// (core/nonoblivious.hpp), so a few distinct ranges cost polynomial time.
+/// Throws ddm::Error for invalid parameters or when the grouped cost
+/// exceeds kGroupedExactMaxCost (never for n <= 14).
 [[nodiscard]] util::Rational heterogeneous_threshold_winning_probability(
     std::span<const util::Rational> thresholds, std::span<const util::Rational> ranges,
     const util::Rational& t);

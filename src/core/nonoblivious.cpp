@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/batch_walk.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "prob/uniform_sum.hpp"
 #include "util/fault.hpp"
 #include "util/kahan.hpp"
 #include "util/parallel.hpp"
@@ -27,13 +29,15 @@ namespace {
 
 // Kernel metrics (docs/observability.md). subsets_visited counts Gray-code
 // subset evaluations (per walk: 2·3^n, or 2·(2^(n+1) − 1) per size for
-// constant points); kahan_compensation records the absolute compensation a
-// bracket accumulated — the live cancellation-severity signal behind the
-// certified ladder's tier-0 bound.
+// constant points); grouped_terms counts the bracket terms the exact grouped
+// evaluator raised to a power; kahan_compensation records the absolute
+// compensation a bracket accumulated — the live cancellation-severity signal
+// behind the certified ladder's tier-0 bound.
 struct KernelMetrics {
   obs::Counter gray_calls = obs::counter("kernel.gray_calls");
   obs::Counter symmetric_calls = obs::counter("kernel.symmetric_calls");
   obs::Counter subsets_visited = obs::counter("kernel.subsets_visited");
+  obs::Counter grouped_terms = obs::counter("kernel.grouped_terms");
   obs::Histogram kahan_compensation = obs::histogram("kernel.kahan_compensation");
 
   static const KernelMetrics& get() {
@@ -62,102 +66,119 @@ void check_thresholds(std::span<const Rational> a, std::size_t max_n) {
   }
 }
 
-// Both brackets below visit the subsets I in reflected Gray-code order
-// (combinat::gray_code): consecutive subsets differ in one element, so the
-// bracket's per-subset base value is maintained with a single add or
-// subtract instead of an O(m) subset-sum loop, and the inclusion-exclusion
-// sign (−1)^|I| simply alternates with the step index. The derivation —
-// including why the feasibility guards commute with the reordering — is in
-// docs/performance.md.
-
-// Zeros bracket of Theorem 5.1 for the players listed in `zeros`:
-//   (1/m!) Σ_{I ⊆ zeros, Σ_{l∈I} a_l < t} (−1)^{|I|} (t − Σ_{l∈I} a_l)^m.
-Rational zeros_bracket(std::span<const Rational> a, std::span<const std::size_t> zeros,
-                       const Rational& t) {
-  const std::size_t m = zeros.size();
-  if (m == 0) return Rational{1};  // empty bin never overflows (t > 0)
-  Rational remainder = t;  // t − Σ_{l∈I} a_l for the current subset I
-  std::uint64_t mask = 0;
-  Rational sum = remainder.pow(static_cast<std::int64_t>(m));  // I = ∅ (t > 0)
-  const std::uint64_t limit = std::uint64_t{1} << m;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      remainder -= a[zeros[j]];
-    } else {
-      remainder += a[zeros[j]];
-    }
-    if (remainder.signum() <= 0) continue;
-    const Rational term = remainder.pow(static_cast<std::int64_t>(m));
-    if (combinat::gray_parity_odd(i)) {
-      sum -= term;
-    } else {
-      sum += term;
-    }
-  }
-  return sum * combinat::inverse_factorial(static_cast<std::uint32_t>(m));
-}
-
-// Ones bracket of Theorem 5.1 for the players listed in `ones`:
-//   Π (1−a_l)  −  (1/k!) Σ_{I ⊆ ones, k−t−|I|+Σ a_l > 0} (−1)^{|I|} (k−t−|I|+Σ_{l∈I} a_l)^k.
-// The Gray walk maintains base = k − t + Σ_{l∈I} (a_l − 1) directly: adding
-// element l to I shifts the base by (a_l − 1), covering both the +a_l and the
-// −|I| bookkeeping in one update.
-Rational ones_bracket(std::span<const Rational> a, std::span<const std::size_t> ones,
-                      const Rational& t) {
-  const std::size_t k = ones.size();
-  if (k == 0) return Rational{1};
-  Rational product{1};
-  std::vector<Rational> shifted(k);  // a_l − 1 per listed player
-  for (std::size_t j = 0; j < k; ++j) {
-    product *= Rational{1} - a[ones[j]];
-    shifted[j] = a[ones[j]] - Rational{1};
-  }
-  Rational base = Rational{static_cast<std::int64_t>(k)} - t;  // I = ∅
-  std::uint64_t mask = 0;
-  Rational sum{0};
-  if (base.signum() > 0) sum = base.pow(static_cast<std::int64_t>(k));
-  const std::uint64_t limit = std::uint64_t{1} << k;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      base += shifted[j];
-    } else {
-      base -= shifted[j];
-    }
-    if (base.signum() <= 0) continue;
-    const Rational term = base.pow(static_cast<std::int64_t>(k));
-    if (combinat::gray_parity_odd(i)) {
-      sum -= term;
-    } else {
-      sum += term;
-    }
-  }
-  return product - sum * combinat::inverse_factorial(static_cast<std::uint32_t>(k));
-}
-
 }  // namespace
+
+std::vector<PlayerClass> group_players(std::span<const Rational> thresholds,
+                                       std::span<const Rational> ranges) {
+  std::vector<PlayerClass> classes;
+  for (std::size_t i = 0; i < thresholds.size(); ++i) {
+    const auto it = std::find_if(classes.begin(), classes.end(), [&](const PlayerClass& c) {
+      return c.threshold == thresholds[i] && c.range == ranges[i];
+    });
+    if (it != classes.end()) {
+      ++it->count;
+    } else {
+      classes.push_back(PlayerClass{1, thresholds[i], ranges[i]});
+    }
+  }
+  return classes;
+}
+
+double grouped_exact_cost(std::span<const PlayerClass> classes) {
+  double n = 0.0;
+  double zeros = 1.0;
+  double ones = 1.0;
+  for (const PlayerClass& c : classes) {
+    const double m = c.count;
+    const double free = (m + 1.0) * (m + 2.0) / 2.0;  // Σ_{k=0..m} (k + 1)
+    const bool all_ones = c.threshold.is_zero();
+    const bool all_zeros = c.threshold == c.range;
+    n += m;
+    zeros *= all_ones ? 1.0 : (all_zeros ? m + 1.0 : free);
+    ones *= all_zeros ? 1.0 : (all_ones ? m + 1.0 : free);
+  }
+  return (zeros + ones) * n * n;
+}
+
+void check_grouped_exact_cost(double cost, const char* what) {
+  if (cost <= kGroupedExactMaxCost) return;
+  std::ostringstream message;
+  message << what << ": too costly for exact evaluation (grouped cost " << cost << " > "
+          << kGroupedExactMaxCost << ")";
+  throw Error(message.str());
+}
+
+Rational grouped_threshold_winning_probability(std::span<const PlayerClass> classes,
+                                               const Rational& t) {
+  std::uint32_t n = 0;
+  std::vector<Rational> values{t};
+  for (const PlayerClass& c : classes) {
+    if (c.range.signum() <= 0 || c.threshold.signum() < 0 || c.threshold > c.range) {
+      throw std::invalid_argument(
+          "grouped_threshold_winning_probability: need range > 0 and 0 <= threshold <= range");
+    }
+    n += c.count;
+    values.push_back(c.threshold);
+    values.push_back(c.range);
+  }
+  if (n == 0) throw std::invalid_argument("grouped_threshold_winning_probability: no players");
+  if (t.signum() <= 0) return Rational{0};
+  DDM_SPAN("kernel.grouped_exact", {{"n", static_cast<std::int64_t>(n)},
+                                    {"classes", static_cast<std::int64_t>(classes.size())}});
+  // Over the common denominator D every a_c, c_c and t is an integer, and D
+  // cancels from each decision vector's term (its two bracket degrees sum to
+  // n), leaving P = Σ C(n,M)·Π C(m_c,k_c)·Z·O / (n!·Π (c_c·D)^{m_c}): integer
+  // terms, one Rational (one gcd) at the end.
+  const util::BigInt scale = prob::common_denominator(values);
+  const auto scaled = [&scale](const Rational& v) { return v.num() * (scale / v.den()); };
+  const std::size_t d = classes.size();
+  std::vector<util::BigInt> a(d);  // a_c·D, the zeros bracket's widths
+  std::vector<util::BigInt> w(d);  // (c_c − a_c)·D, the ones bracket's widths
+  std::vector<std::uint32_t> lo(d);
+  std::vector<std::uint32_t> hi(d);
+  util::BigInt denominator = util::BigInt::factorial(n);
+  for (std::size_t c = 0; c < d; ++c) {
+    const util::BigInt range = scaled(classes[c].range);
+    a[c] = scaled(classes[c].threshold);
+    w[c] = range - a[c];
+    denominator *= util::BigInt::pow(range, classes[c].count);
+    // A class with a_c = c_c always picks bin 0, one with a_c = 0 bin 1.
+    lo[c] = w[c].is_zero() ? classes[c].count : 0;
+    hi[c] = a[c].is_zero() ? 0 : classes[c].count;
+  }
+  const util::BigInt x0 = scaled(t);
+  std::vector<std::uint32_t> zeros = lo;  // k_c: class c's players in bin 0
+  std::vector<std::uint32_t> ones(d);
+  util::BigInt numerator;
+  std::uint64_t terms = 0;
+  while (true) {
+    std::uint32_t m0 = 0;
+    util::BigInt x1 = x0;  // t − Σ_{ones} a_l: bin 1's load is recentered
+    util::BigInt weight{1};
+    for (std::size_t c = 0; c < d; ++c) {
+      m0 += zeros[c];
+      ones[c] = classes[c].count - zeros[c];
+      x1 -= a[c] * util::BigInt{ones[c]};
+      weight *= combinat::binomial(classes[c].count, zeros[c]);
+    }
+    const util::BigInt z = prob::grouped_uniform_volume(a, zeros, x0, m0, &terms);
+    if (!z.is_zero()) {
+      const util::BigInt o = prob::grouped_uniform_volume(w, ones, x1, n - m0, &terms);
+      if (!o.is_zero()) numerator += combinat::binomial(n, m0) * weight * z * o;
+    }
+    std::size_t c = 0;
+    for (; c < d && zeros[c] == hi[c]; ++c) zeros[c] = lo[c];
+    if (c == d) break;
+    ++zeros[c];
+  }
+  if (obs::metrics_enabled()) KernelMetrics::get().grouped_terms.add(terms);
+  return Rational{std::move(numerator), std::move(denominator)};
+}
 
 Rational threshold_winning_probability(std::span<const Rational> a, const Rational& t) {
   check_thresholds(a, 16);
-  if (t.signum() <= 0) return Rational{0};
-  const std::size_t n = a.size();
-  DDM_SPAN("kernel.gray_exact", {{"n", static_cast<std::int64_t>(n)}});
-  Rational total{0};
-  std::vector<std::size_t> zeros;
-  std::vector<std::size_t> ones;
-  zeros.reserve(n);
-  ones.reserve(n);
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    split_players(b, n, zeros, ones);
-    total += zeros_bracket(a, zeros, t) * ones_bracket(a, ones, t);
-  }
-  return total;
+  const std::vector<Rational> unit_ranges(a.size(), Rational{1});
+  return grouped_threshold_winning_probability(group_players(a, unit_ranges), t);
 }
 
 namespace {
@@ -492,57 +513,14 @@ std::vector<double> threshold_winning_probability_batch(
   return values;
 }
 
-Rational symmetric_zero_bracket(std::uint32_t m, const Rational& beta, const Rational& t) {
-  if (m == 0) return Rational{1};
-  Rational sum{0};
-  for (std::uint32_t l = 0; l <= m; ++l) {
-    const Rational base = t - Rational{static_cast<std::int64_t>(l)} * beta;
-    if (base.signum() <= 0) continue;
-    const Rational term =
-        Rational{combinat::binomial(m, l), util::BigInt{1}} * base.pow(static_cast<std::int64_t>(m));
-    if (l % 2 == 0) {
-      sum += term;
-    } else {
-      sum -= term;
-    }
-  }
-  return sum * combinat::inverse_factorial(m);
-}
-
-Rational symmetric_one_bracket(std::uint32_t k, const Rational& beta, const Rational& t) {
-  if (k == 0) return Rational{1};
-  const Rational kk{static_cast<std::int64_t>(k)};
-  Rational sum{0};
-  for (std::uint32_t l = 0; l <= k; ++l) {
-    const Rational ll{static_cast<std::int64_t>(l)};
-    const Rational base = kk - t - ll + ll * beta;
-    if (base.signum() <= 0) continue;
-    const Rational term =
-        Rational{combinat::binomial(k, l), util::BigInt{1}} * base.pow(static_cast<std::int64_t>(k));
-    if (l % 2 == 0) {
-      sum += term;
-    } else {
-      sum -= term;
-    }
-  }
-  return (Rational{1} - beta).pow(static_cast<std::int64_t>(k)) -
-         sum * combinat::inverse_factorial(k);
-}
-
 Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational& beta,
                                                  const Rational& t) {
   if (n == 0) throw std::invalid_argument("symmetric_threshold_winning_probability: n == 0");
   if (beta < Rational{0} || beta > Rational{1}) {
     throw std::invalid_argument("symmetric_threshold_winning_probability: beta outside [0, 1]");
   }
-  if (t.signum() <= 0) return Rational{0};
-  DDM_SPAN("kernel.sym_exact", {{"n", static_cast<std::int64_t>(n)}});
-  Rational total{0};
-  for (std::uint32_t k = 0; k <= n; ++k) {
-    total += Rational{combinat::binomial(n, k), util::BigInt{1}} *
-             symmetric_zero_bracket(n - k, beta, t) * symmetric_one_bracket(k, beta, t);
-  }
-  return total;
+  const PlayerClass players[] = {{n, beta, Rational{1}}};
+  return grouped_threshold_winning_probability(players, t);
 }
 
 double symmetric_threshold_winning_probability(std::uint32_t n, double beta, double t) {

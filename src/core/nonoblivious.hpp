@@ -11,8 +11,9 @@
 //              · [ Π_{l∈ones(b)} (1−a_l)
 //                  − (1/|b|!) Σ_{I ⊆ ones(b), |b|−t−|I|+Σa_l > 0} (−1)^{|I|}(|b|−t−|I|+Σ_{l∈I}a_l)^{|b|} ]
 //
-// The general evaluator runs in O(3^n) exact arithmetic; the symmetric
-// special case (all a_i = β, Section 5.2) collapses to O(n²) terms.
+// The exact evaluator groups players into classes of equal (threshold,
+// range) and sums over per-class bin-0 counts: O(3^n) terms when every
+// player differs, O(n²) in the symmetric case (all a_i = β, Section 5.2).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,43 @@
 
 namespace ddm::core {
 
-/// Theorem 5.1 for arbitrary thresholds a_i ∈ [0, 1]. Exact; throws
-/// std::invalid_argument for n > 16 (use the symmetric version or the
-/// double engine for larger systems).
+/// m interchangeable players with threshold a ∈ [0, c] and inputs U[0, c]:
+/// a = 0 sends every one of them to bin 1, a = c every one to bin 0.
+struct PlayerClass {
+  std::uint32_t count = 0;
+  util::Rational threshold;
+  util::Rational range{1};
+};
+
+/// Players with equal (thresholds[i], ranges[i]) merged into classes.
+[[nodiscard]] std::vector<PlayerClass> group_players(std::span<const util::Rational> thresholds,
+                                                     std::span<const util::Rational> ranges);
+
+/// Theorem 5.1 over player classes, exact: a sum over the per-class bin-0
+/// counts whose brackets are grouped Lemma 2.4 volumes over integers
+/// (docs/performance.md §8), one Rational per call. Throws
+/// std::invalid_argument without players or for a class with range <= 0 or
+/// a threshold outside [0, range]; no size cap (see grouped_exact_cost).
+[[nodiscard]] util::Rational grouped_threshold_winning_probability(
+    std::span<const PlayerClass> classes, const util::Rational& t);
+
+/// The work of grouped_threshold_winning_probability: the bracket terms it
+/// visits (at most 2·Π_c C(m_c + 2, 2)) times n² for the growth of the
+/// integers with n.
+[[nodiscard]] double grouped_exact_cost(std::span<const PlayerClass> classes);
+
+/// The largest grouped_exact_cost the generalized games accept: that of 14
+/// distinct players, the most any n <= 14 request can cost.
+inline constexpr double kGroupedExactMaxCost = 2.0 * 4782969.0 * 14.0 * 14.0;
+
+/// Throws ddm::Error, prefixed with `what`, when `cost` exceeds
+/// kGroupedExactMaxCost.
+void check_grouped_exact_cost(double cost, const char* what);
+
+/// Theorem 5.1 for arbitrary thresholds a_i ∈ [0, 1]: the grouped evaluator
+/// with equal thresholds merged. Exact; throws std::invalid_argument for
+/// n > 16 (use the symmetric version or the double engine for larger
+/// systems).
 [[nodiscard]] util::Rational threshold_winning_probability(std::span<const util::Rational> a,
                                                            const util::Rational& t);
 
@@ -67,23 +102,12 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
     std::span<const std::vector<double>> points, double t,
     const util::RunControl& control = {});
 
-/// Symmetric Theorem 5.1: all thresholds equal β; O(n²) exact terms
-///   P(β) = Σ_k C(n,k) · B0_{n−k}(β) · B1_k(β).
+/// Symmetric Theorem 5.1: all thresholds equal β, so one player class and
+/// (n + 1)(n + 2) exact terms.
 [[nodiscard]] util::Rational symmetric_threshold_winning_probability(std::uint32_t n,
                                                                      const util::Rational& beta,
                                                                      const util::Rational& t);
 [[nodiscard]] double symmetric_threshold_winning_probability(std::uint32_t n, double beta,
                                                              double t);
-
-/// The "zeros" bracket for m players below a common threshold β:
-///   B0_m(β) = (1/m!) Σ_{l=0..m, t−lβ>0} (−1)^l C(m,l) (t − lβ)^m.
-/// Equals a_m^m · P(Σ of m U[0,β] <= t) with the β^m factor folded in.
-[[nodiscard]] util::Rational symmetric_zero_bracket(std::uint32_t m, const util::Rational& beta,
-                                                    const util::Rational& t);
-
-/// The "ones" bracket for k players above a common threshold β:
-///   B1_k(β) = (1−β)^k − (1/k!) Σ_{l=0..k, k−t−l+lβ>0} (−1)^l C(k,l) (k−t−l+lβ)^k.
-[[nodiscard]] util::Rational symmetric_one_bracket(std::uint32_t k, const util::Rational& beta,
-                                                   const util::Rational& t);
 
 }  // namespace ddm::core

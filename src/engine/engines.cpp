@@ -56,30 +56,6 @@ void throw_if_stopped(const EvalRequest& request, const char* label, std::size_t
   return util::exact_rational(request.betas[k]);
 }
 
-/// Largest n the exact/certified generalized-scenario paths accept: the
-/// heterogeneous Theorem 5.1 and the deviating worst case both run O(2^n)
-/// inclusion-exclusion sums (core/heterogeneous.cpp, core/deviating.cpp).
-constexpr std::uint32_t kScenarioExactMaxN = 14;
-
-/// True when the request is a well-formed instance of its generalized
-/// scenario that the exact rational paths can serve. The homogeneous default
-/// never reaches this helper — each engine's supports() keeps its original
-/// predicate for the default scenario, byte for byte.
-[[nodiscard]] bool supports_scenario_exact(const EvalRequest& request) {
-  const std::uint32_t n = request_n(request);
-  if (n < 1 || n > kScenarioExactMaxN) return false;
-  switch (request.scenario.kind()) {
-    case Scenario::Kind::kHomogeneous:
-      return true;
-    case Scenario::Kind::kHeterogeneous:
-      return request.scenario.ranges().size() == n;
-    case Scenario::Kind::kDeviating:
-      // The deviating game is defined for the symmetric protocol only.
-      return request.is_symmetric() && request.scenario.deviators() < n;
-  }
-  return false;
-}
-
 /// The exact per-player thresholds of point k under a heterogeneous
 /// scenario: a symmetric grid beta is RELATIVE (a_i = beta * c_i, so the
 /// [0,1] grid stays meaningful for any ranges), a general point is the
@@ -96,6 +72,48 @@ constexpr std::uint32_t kScenarioExactMaxN = 14;
     for (const double a : request.points[k]) thresholds.push_back(util::exact_rational(a));
   }
   return thresholds;
+}
+
+/// The grouped Theorem 5.1 work (core::grouped_exact_cost) of the request's
+/// costliest point. On a symmetric grid that is any interior beta: beta = 0
+/// or 1 only forces classes, which costs less.
+[[nodiscard]] double scenario_exact_cost(const EvalRequest& request) {
+  if (request.scenario.kind() == Scenario::Kind::kDeviating) {
+    return core::deviating_exact_cost(request_n(request), request.scenario.deviators());
+  }
+  const std::vector<util::Rational>& ranges = request.scenario.ranges();
+  if (request.is_symmetric()) {
+    std::vector<util::Rational> interior;
+    for (const util::Rational& range : ranges) interior.push_back(range * util::Rational(1, 2));
+    return core::grouped_exact_cost(core::group_players(interior, ranges));
+  }
+  double cost = 0.0;
+  for (std::size_t k = 0; k < request.size(); ++k) {
+    const std::vector<util::Rational> thresholds = heterogeneous_point(request, k);
+    cost = std::max(cost, core::grouped_exact_cost(core::group_players(thresholds, ranges)));
+  }
+  return cost;
+}
+
+/// True when the request is a well-formed instance of its generalized
+/// scenario whose grouped cost the exact rational paths admit. The
+/// homogeneous default never reaches this helper — each engine's supports()
+/// keeps its original predicate for the default scenario, byte for byte.
+[[nodiscard]] bool supports_scenario_exact(const EvalRequest& request) {
+  const std::uint32_t n = request_n(request);
+  if (n < 1) return false;
+  switch (request.scenario.kind()) {
+    case Scenario::Kind::kHomogeneous:
+      return true;
+    case Scenario::Kind::kHeterogeneous:
+      if (request.scenario.ranges().size() != n) return false;
+      break;
+    case Scenario::Kind::kDeviating:
+      // The deviating game is defined for the symmetric protocol only.
+      if (!request.is_symmetric() || request.scenario.deviators() >= n) return false;
+      break;
+  }
+  return scenario_exact_cost(request) <= core::kGroupedExactMaxCost;
 }
 
 /// One exact rational evaluation of point k under the request's generalized
@@ -131,7 +149,7 @@ class ExactEvaluator final : public Evaluator {
   Determinism determinism() const noexcept override { return Determinism::kDeterministic; }
   std::string_view describe() const noexcept override {
     return "exact rational Theorem 5.1 (symmetric, O(n^2) terms per point; "
-           "generalized scenarios up to n = 14)";
+           "generalized scenarios by player class within the grouped cost bound)";
   }
   bool supports(const EvalRequest& request) const override {
     if (request.scenario.is_default()) return request.is_symmetric() && request.n >= 1;

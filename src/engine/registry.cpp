@@ -197,7 +197,7 @@ Selection rank(const EnginePolicy& policy, const EvalRequest& request) {
     for (const std::string_view id : kGeneralizedAuto) admit(id);
     if (!chain.empty() && chain.front()->id() != kGeneralizedAuto[0]) {
       selection.note = "scenario '" + request.scenario.digest() +
-                       "' exceeds the exact-evaluation cap";
+                       "' exceeds the exact cost bound";
     }
   }
   if (chain.empty()) {

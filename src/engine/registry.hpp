@@ -5,7 +5,8 @@
 //
 //   id          determinism     backend
 //   ---------   -------------   ----------------------------------------------
-//   exact       deterministic   exact Rational Theorem 5.1 (O(n²) symmetric)
+//   exact       deterministic   exact Rational Theorem 5.1, class-grouped
+//                               (O(n²) symmetric)
 //   kernel      deterministic   double Gray-code Theorem 5.1 walk, one point
 //                               at a time on the calling thread
 //   batch       deterministic   the same walk in parallel blocks with SIMD
@@ -106,7 +107,8 @@ struct Selection {
   bool auto_mode = false;
   /// True when auto declined its first built-in choice: the compiled
   /// plan's certificate missed the request tolerance or its lowering
-  /// failed, or a generalized game exceeds the exact-evaluation cap.
+  /// failed, or a generalized game exceeds the grouped exact cost bound
+  /// (core::kGroupedExactMaxCost).
   bool fallback = false;
   /// One-line reason for the fallback, empty otherwise.
   std::string note;

@@ -172,14 +172,27 @@ TEST(ThresholdWinning, DoubleMatchesExact) {
 }
 
 TEST(ThresholdWinning, Brackets) {
-  // B0_m(0⁺ capacity beyond mβ) and B1_k behave sensibly at the extremes.
-  EXPECT_EQ(symmetric_zero_bracket(0, Rational(1, 2), Rational{1}), Rational{1});
-  EXPECT_EQ(symmetric_one_bracket(0, Rational(1, 2), Rational{1}), Rational{1});
-  // m = 1: B0_1(β) = t − max(t − β, 0); for t = 1, β = 1/2: 1 − 1/2 = 1/2 —
-  // the probability weight P(x <= β and x <= t) = β when β <= t.
-  EXPECT_EQ(symmetric_zero_bracket(1, Rational(1, 2), Rational{1}), Rational(1, 2));
-  // k = 1: B1_1(β) = (1 − β) − max(1 − t − 1 + β, 0) = 1 − β for t = 1.
-  EXPECT_EQ(symmetric_one_bracket(1, Rational(1, 2), Rational{1}), Rational(1, 2));
+  // Both brackets are grouped Lemma 2.4 volumes over integers scaled by the
+  // common denominator D; a bracket of m players is the volume / (m!·D^m).
+  // Here t = 1 and β = 1/2, so D = 2, t·D = 2 and β·D = (1 − β)·D = 1.
+  const util::BigInt width{1};
+  const util::BigInt t{2};
+  const std::uint32_t none = 0;
+  const std::uint32_t one = 1;
+  const auto volume = [&](const util::BigInt& x, const std::uint32_t& count) {
+    return prob::grouped_uniform_volume({&width, 1}, {&count, 1}, x, count);
+  };
+  // Empty brackets are 1.
+  EXPECT_EQ(volume(t, none), util::BigInt{1});
+  // m = 1: B0_1(β) = t − max(t − β, 0) = β = 1/2 for t = 1: the probability
+  // weight P(x <= β and x <= t) = β when β <= t. Volume (2 − 1) = 1 over D.
+  EXPECT_EQ(volume(t, one), util::BigInt{1});
+  // k = 1: B1_1(β) = 1 − β = 1/2 for t = 1, the bin-1 load recentered by β:
+  // volume at x = (t − β)·D = 1 is 1 − 0 = 1 over D.
+  EXPECT_EQ(volume(t - width, one), util::BigInt{1});
+  // The same brackets through the evaluator: n = 1 is B0_1 + B1_1 = 1.
+  EXPECT_EQ(symmetric_threshold_winning_probability(1, Rational(1, 2), Rational{1}),
+            Rational{1});
 }
 
 TEST(ThresholdWinning, ValidatesInput) {

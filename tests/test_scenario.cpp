@@ -27,6 +27,7 @@
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
 #include "prob/rng.hpp"
+#include "util/certify.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rational.hpp"
 #include "util/status.hpp"
@@ -310,8 +311,13 @@ TEST(DeviatingCore, ValidationThrows) {
   EXPECT_THROW((void)core::worst_case_deviating_winning_probability(3, 1, Rational{2},
                                                                     Rational{1}),
                Error);
-  EXPECT_THROW((void)core::worst_case_deviating_winning_probability(15, 1, Rational(1, 2),
-                                                                    Rational{5}),
+  // Past the grouped cost bound (core::kGroupedExactMaxCost): n = 400 costs
+  // ~7.7e10 against ~1.9e9.
+  EXPECT_THROW((void)core::worst_case_deviating_winning_probability(400, 1, Rational(1, 2),
+                                                                    Rational{133}),
+               Error);
+  EXPECT_THROW((void)core::deviating_threshold_winning_probability(400, 1, 0, Rational(1, 2),
+                                                                   Rational{133}),
                Error);
   EXPECT_THROW((void)Scenario::deviating(0), Error);
 }
@@ -328,6 +334,12 @@ TEST(DeviatingCore, SimulationTracksExactWorstCase) {
 
 // --- selection under generalized games (chains: EngineRank.*) ------------
 
+std::vector<Rational> distinct_ranges(std::int64_t n) {
+  std::vector<Rational> ranges;
+  for (std::int64_t i = 1; i <= n; ++i) ranges.emplace_back(i, n);
+  return ranges;
+}
+
 TEST(ScenarioSelection, AutoPicksExactWithinCapAndMcBeyond) {
   engine::EnginePolicy policy;  // auto
   auto small = EvalRequest::symmetric(3, Rational{1}, {0.5});
@@ -336,12 +348,35 @@ TEST(ScenarioSelection, AutoPicksExactWithinCapAndMcBeyond) {
   EXPECT_EQ(within.id(), "exact");
   EXPECT_FALSE(within.fallback);
 
+  // 20 distinct ranges are 20 player classes, 2·3^20 terms: past the grouped
+  // cost bound, so auto falls back to Monte Carlo and says why.
   auto large = EvalRequest::symmetric(20, Rational{7}, {0.5});
-  large.scenario = Scenario::heterogeneous(std::vector<Rational>(20, Rational(1, 2)));
+  large.scenario = Scenario::heterogeneous(distinct_ranges(20));
   const engine::Selection beyond = engine::select(policy, large);
   EXPECT_EQ(beyond.id(), "mc");
   EXPECT_TRUE(beyond.fallback);
   EXPECT_FALSE(beyond.note.empty());
+
+  // The same 20 players with one range are one class: exact.
+  auto one_range = EvalRequest::symmetric(20, Rational{7}, {0.5});
+  one_range.scenario = Scenario::heterogeneous(std::vector<Rational>(20, Rational(1, 2)));
+  EXPECT_EQ(engine::select(policy, one_range).id(), "exact");
+}
+
+TEST(ScenarioSelection, DeviatingAtSixtyRanksExact) {
+  engine::EnginePolicy policy;  // auto
+  auto request = EvalRequest::symmetric(60, Rational{20}, {0.3, 0.7});
+  request.scenario = Scenario::deviating(2);
+  const engine::Selection selection = engine::select(policy, request);
+  EXPECT_EQ(selection.id(), "exact");
+  EXPECT_FALSE(selection.fallback);
+  const EvalOutcome outcome = selection.evaluator->evaluate(request);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(outcome.certificates.at(k).enclosure.lo(),
+              core::worst_case_deviating_winning_probability(
+                  60, 2, util::exact_rational(request.betas[k]), Rational{20}))
+        << k;
+  }
 }
 
 // --- cost-model scenario rows ------------------------------------------------
@@ -456,6 +491,26 @@ TEST(ScenarioServe, ThresholdEvaluatesGeneralizedGames) {
   std::snprintf(value_text, sizeof value_text, "%.6f", expected);
   EXPECT_NE(reply.find("\"engine\":\"exact\""), std::string::npos) << reply;
   EXPECT_NE(reply.find(std::string(value_text).substr(0, 7)), std::string::npos) << reply;
+}
+
+TEST(ScenarioServe, PastBoundHeterogeneousGetsMonteCarlo) {
+  net::ServiceConfig config;
+  config.workers = 1;
+  net::EvalService service(config);
+  std::string ranges = "1/20";
+  for (int i = 2; i <= 20; ++i) ranges.append(",").append(std::to_string(i)).append("/20");
+  // 20 distinct ranges are past the exact cost bound: the reply comes from
+  // mc at once instead of an exact evaluation that would not finish.
+  const std::string reply = service.handle_line(
+      R"({"op": "threshold", "n": 20, "t": 5, "beta": 0.5, "trials": 2000, )"
+      R"("scenario": "heterogeneous:)" + ranges + R"("})");
+  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"engine\":\"mc\""), std::string::npos) << reply;
+  // One range at the same n stays exact.
+  const std::string exact = service.handle_line(
+      R"({"op": "threshold", "n": 20, "t": 5, "beta": 0.5, )"
+      R"("scenario": "heterogeneous:1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1"})");
+  EXPECT_NE(exact.find("\"engine\":\"exact\""), std::string::npos) << exact;
 }
 
 TEST(ScenarioServe, MalformedScenariosAreBadRequests) {

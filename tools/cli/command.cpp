@@ -6,6 +6,7 @@
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
 #include "engine/cost_model.hpp"
+#include "util/simd.hpp"
 
 namespace ddm::cli {
 
@@ -293,6 +294,9 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
       (void)engine::CostModel::configured();
     }
   }
+  // DDM_SIMD likewise: only the vectorized engines read it, so without this
+  // a malformed value would pass unreported on every other path.
+  (void)util::simd::dispatch_width();
   return command->run(args, options);
 }
 

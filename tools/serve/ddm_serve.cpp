@@ -20,6 +20,7 @@
 //                                           store (warm start)          [off]
 //   DDM_POLICY             --policy-table=F calibrated engine policy
 //                                           table (self-tuning auto)    [off]
+//   DDM_SIMD               (no flag)        SIMD dispatch width         [native]
 //
 // Knob edges are deliberate: PORT=0 (ephemeral) and DEADLINE_MS=0 (none)
 // are valid sentinels; BACKLOG/QUEUE/WORKERS have a minimum of 1 — a
@@ -75,6 +76,7 @@
 #include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/rational.hpp"
+#include "util/simd.hpp"
 #include "util/status.hpp"
 
 namespace {
@@ -179,6 +181,9 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
   // Same eager treatment for the engine policy table: the flag overrides
   // DDM_POLICY, and either one naming an unloadable table is a configuration
   // error (exit 2 from --check-config too), never a silently static daemon.
+  // DDM_SIMD is read lazily by the vectorized engines; resolve it now so a
+  // malformed value is a configuration error, not a per-request one.
+  (void)ddm::util::simd::dispatch_width();
   if (!config_policy_table.empty()) {
     ddm::engine::CostModel::set_configured(
         ddm::engine::CostModel::load(config_policy_table, "--policy-table"));
